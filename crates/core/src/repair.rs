@@ -32,8 +32,8 @@
 //! plain from-scratch run — still bit-identical, just not incremental.
 //!
 //! The shape checks, the split-point computation, and the replay-resume
-//! scaffolding are shared between the algorithms ([`replay_viable`],
-//! [`split_point`], [`replay_then`] below); each algorithm contributes
+//! scaffolding are shared between the algorithms (`replay_viable`,
+//! `split_point`, `replay_then` below); each algorithm contributes
 //! only its priority computation, its dirty predicate, and its placement
 //! loop.
 

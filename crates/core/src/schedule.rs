@@ -4,7 +4,7 @@
 //! Timelines are stored struct-of-arrays ([`Timeline`]): parallel
 //! `starts`/`finishes`/`tasks`/`dups` vectors instead of a `Vec<Slot>`.
 //! The gap search ([`Schedule::earliest_start`]) and the bulk replay of
-//! schedule repair ([`Schedule::replay_prefix`]) spend their time
+//! schedule repair (`Schedule::replay_prefix`) spend their time
 //! streaming start/finish times; keeping those as contiguous `f64` arrays
 //! halves the bytes those scans touch (no interleaved task ids or
 //! duplicate flags) and lets `partition_point` binary-search a plain

@@ -26,14 +26,15 @@ use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 
 use hetsched_core::{Delta, ProblemInstance};
-use hetsched_dag::{Dag, Fingerprint};
-use hetsched_platform::System;
+use hetsched_dag::io::DagSpec;
+use hetsched_dag::Fingerprint;
+use hetsched_platform::SystemSpec;
 use hetsched_serve::cache::LruCache;
 use hetsched_serve::journal::Journal;
 use hetsched_serve::metrics::RequestStatus;
 use hetsched_serve::protocol::{
-    GatewayTiming, HelloBody, Hop, InstanceSpec, JournalBody, Request, RequestOptions, Response,
-    ScheduleBody, ScheduleManyBody, SpanRecord, TimingBody,
+    bad_parent_message, parse_parent, GatewayTiming, HelloBody, Hop, InstanceSpec, JournalBody,
+    Request, RequestOptions, Response, ScheduleBody, ScheduleManyBody, SpanRecord, TimingBody,
 };
 use hetsched_serve::wire::{self, WireScan};
 
@@ -266,39 +267,22 @@ impl Router {
         }
     }
 
-    /// Route one `schedule`/`portfolio`/`patch` request: record the SLO
-    /// outcome and, for traced requests, the gateway-side spans and the
-    /// `timing.gateway` block around the actual routing in
-    /// [`Router::route_inner`].
+    /// Route one scheduling request: record the SLO outcome and, for
+    /// traced requests, the gateway-side spans and the `timing.gateway`
+    /// block around the actual routing in [`Router::route_inner`].
     fn route(&self, req: Request, arrival: Instant) -> Arc<String> {
         if self.is_shutting_down() {
             return Arc::new(Response::ShuttingDown.to_line());
         }
         bump(&self.metrics.requests);
-        let (op, deadline_ms, trace_id) = {
-            let options = match &req {
-                Request::Schedule { options, .. }
-                | Request::Portfolio { options, .. }
-                | Request::ScheduleMany { options, .. }
-                | Request::Patch { options, .. } => options,
-                // `handle_line` only routes the scheduling ops.
-                _ => unreachable!("route() called with a control op"),
-            };
-            let op = match &req {
-                Request::Portfolio { .. } => "portfolio",
-                Request::ScheduleMany { .. } => "schedule_many",
-                Request::Patch { .. } => "patch",
-                _ => "schedule",
-            };
-            (
-                op,
-                options.deadline_ms,
-                options.trace_ctx.as_ref().map(|c| c.trace_id.clone()),
-            )
-        };
+        let options = req.options();
+        let deadline_ms = options.and_then(|o| o.deadline_ms);
+        let trace_id = options
+            .and_then(|o| o.trace_ctx.as_ref())
+            .map(|c| c.trace_id.clone());
         let mut scratch = TraceScratch::new(trace_id, arrival);
         let reply = self.route_inner(&req, deadline_ms, arrival, &mut scratch);
-        self.finish_route(reply, op, deadline_ms, arrival, scratch)
+        self.finish_route(reply, req.op_name(), deadline_ms, arrival, scratch)
     }
 
     /// The routing body proper: admission, single-flight, forwarding.
@@ -328,99 +312,44 @@ impl Router {
                 .to_line(),
             );
         }
-        // A batch fans out to *several* home shards; it has its own
-        // routing body and only shares admission and single-flight.
-        if let Request::ScheduleMany {
-            instances,
-            algorithm,
-            options,
-        } = req
-        {
-            return self.route_many(
-                instances,
-                algorithm,
-                options,
-                deadline,
-                deadline_at,
-                scratch,
-            );
-        }
-        let options = match req {
-            Request::Schedule { options, .. }
-            | Request::Portfolio { options, .. }
-            | Request::Patch { options, .. } => options,
-            _ => unreachable!("route_inner() called with a control op"),
-        };
-
-        let (home, key) = match req {
-            Request::Patch {
-                parent,
-                algorithm,
-                deltas,
-                options,
-            } => {
-                // A patch routes to its *parent's* home shard — the one
-                // whose instance cache can resolve the parent fingerprint.
-                let Some(parent_fp) = parse_parent(parent) else {
-                    bump(&self.metrics.errors);
-                    return Arc::new(
-                        Response::error(format!(
-                            "unknown_parent: `{parent}` is not a 16-hex-digit problem fingerprint \
-                             (use the `problem` field of an earlier schedule response)"
-                        ))
-                        .to_line(),
-                    );
-                };
-                (
-                    (parent_fp % self.backends.len() as u64) as usize,
-                    patch_dedup_key(parent_fp, algorithm, deltas, options),
-                )
-            }
-            _ => {
-                let (dag_spec, system_spec, alg_names) = match req {
-                    Request::Schedule {
-                        dag,
-                        system,
-                        algorithm,
-                        ..
-                    } => (dag, system, std::slice::from_ref(algorithm).to_vec()),
-                    Request::Portfolio {
-                        dag,
-                        system,
-                        algorithms,
-                        ..
-                    } => (dag, system, algorithms.clone()),
-                    _ => unreachable!("patch is handled above"),
-                };
-                // Validate at the front door; a bad problem never costs a
-                // shard.
-                let dag = match dag_spec.build() {
-                    Ok(d) => d,
-                    Err(e) => {
-                        bump(&self.metrics.errors);
-                        return Arc::new(Response::error(format!("invalid dag: {e}")).to_line());
-                    }
-                };
-                let sys = match system_spec.build(&dag) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        bump(&self.metrics.errors);
-                        return Arc::new(Response::error(format!("invalid system: {e}")).to_line());
-                    }
-                };
-                (
-                    (ProblemInstance::content_fingerprint(&dag, &sys) % self.backends.len() as u64)
-                        as usize,
-                    dedup_key(req, &dag, &sys, &alg_names, options),
-                )
+        let admitted = match admit(req) {
+            Ok(admitted) => admitted,
+            Err(message) => {
+                bump(&self.metrics.errors);
+                return Arc::new(Response::error(message).to_line());
             }
         };
+        // Every problem routes to its home shard, `fingerprint % N`, so
+        // the shard's instance cache and reply memo see every repeat of
+        // it. A patch routes by its parent's fingerprint: the home shard
+        // is the one whose instance cache can resolve the parent.
+        let n = self.backends.len() as u64;
+        let homes: Vec<usize> = admitted.content.iter().map(|c| (c % n) as usize).collect();
+        let key = flight_key(
+            req.op_name(),
+            &admitted.content,
+            admitted.algorithms,
+            admitted.deltas,
+            admitted.options,
+        );
         scratch.admission_us = scratch.off(Instant::now());
         scratch.span("admission", 0, scratch.admission_us, "");
 
-        self.coalesce(key, deadline, deadline_at, scratch, |router, scratch| {
-            router.lead(req, home, deadline_at, scratch)
-        })
+        self.coalesce(
+            key,
+            deadline,
+            deadline_at,
+            scratch,
+            |router, scratch| match req {
+                // A batch fans out to *several* home shards.
+                Request::ScheduleMany {
+                    instances,
+                    algorithm,
+                    options,
+                } => router.lead_many(instances, algorithm, options, &homes, deadline_at, scratch),
+                _ => router.lead(req, homes[0], deadline_at, scratch),
+            },
+        )
     }
 
     /// Single-flight coalescing around a leader body: followers wait for
@@ -480,64 +409,6 @@ impl Router {
                 reply
             }
         }
-    }
-
-    /// Route one `schedule_many` batch: validate every instance at the
-    /// front door, group the instances by their *own* home shards
-    /// (`fingerprint(dag, system) % N`, the same placement standalone
-    /// `schedule` requests get, so batches and singles share shard
-    /// caches), forward one sub-batch per shard through the ordinary
-    /// failover path, and reassemble the entries **in request order**.
-    /// The whole batch is one single-flight key, so identical concurrent
-    /// batches coalesce.
-    fn route_many(
-        &self,
-        instances: &[InstanceSpec],
-        algorithm: &str,
-        options: &RequestOptions,
-        deadline: Duration,
-        deadline_at: Instant,
-        scratch: &mut TraceScratch,
-    ) -> Arc<String> {
-        if instances.is_empty() {
-            bump(&self.metrics.errors);
-            return Arc::new(
-                Response::error("schedule_many requires at least one instance").to_line(),
-            );
-        }
-        let n = self.backends.len();
-        let mut homes = Vec::with_capacity(instances.len());
-        let mut content_fps = Vec::with_capacity(instances.len());
-        for (i, spec) in instances.iter().enumerate() {
-            let dag = match spec.dag.build() {
-                Ok(d) => d,
-                Err(e) => {
-                    bump(&self.metrics.errors);
-                    return Arc::new(
-                        Response::error(format!("invalid dag (instance {i}): {e}")).to_line(),
-                    );
-                }
-            };
-            let sys = match spec.system.build(&dag) {
-                Ok(s) => s,
-                Err(e) => {
-                    bump(&self.metrics.errors);
-                    return Arc::new(
-                        Response::error(format!("invalid system (instance {i}): {e}")).to_line(),
-                    );
-                }
-            };
-            let cfp = ProblemInstance::content_fingerprint(&dag, &sys);
-            homes.push((cfp % n as u64) as usize);
-            content_fps.push(cfp);
-        }
-        let key = many_dedup_key(&content_fps, algorithm, options);
-        scratch.admission_us = scratch.off(Instant::now());
-        scratch.span("admission", 0, scratch.admission_us, "");
-
-        self.coalesce(key, deadline, deadline_at, scratch, |router, scratch| {
-            router.lead_many(instances, algorithm, options, &homes, deadline_at, scratch)
-        })
     }
 
     /// Forward a batch as the single-flight leader: one `schedule_many`
@@ -820,102 +691,129 @@ impl Router {
     }
 }
 
-/// Dedup key for single-flight coalescing: the op kind, the (DAG, system)
-/// content, the algorithm list, and the response-shaping options. Mirrors
-/// [`hetsched_serve::request_fingerprint`]'s exclusions: `deadline_ms`
-/// bounds the wait, `jobs` changes speed — neither changes the reply, so
-/// requests differing only in them coalesce.
-fn dedup_key(
-    req: &Request,
-    dag: &Dag,
-    sys: &System,
-    alg_names: &[String],
-    options: &RequestOptions,
-) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.tag("gateway-op");
-    fp.push_str(match req {
-        Request::Portfolio { .. } => "portfolio",
-        _ => "schedule",
-    });
-    dag.fold_fingerprint(&mut fp);
-    sys.fold_fingerprint(&mut fp);
-    fp.tag("algorithms");
-    fp.push_u64(alg_names.len() as u64);
-    for name in alg_names {
-        fp.push_str(name);
-    }
-    fp.tag("options");
-    fp.push_u8(options.simulate as u8);
-    fp.push_u8(options.debug_panic as u8);
-    fp.push_u64(options.debug_sleep_ms.unwrap_or(0));
-    fp.push_u8(options.trace as u8);
-    fp.finish()
+/// What front-door validation learns about a scheduling request, in the
+/// terms routing needs.
+struct Admitted<'r> {
+    /// Content fingerprint of every problem the request names, in
+    /// request order — the parent's for a patch.
+    content: Vec<u64>,
+    algorithms: &'r [String],
+    deltas: &'r [Delta],
+    options: &'r RequestOptions,
 }
 
-/// Dedup key for `schedule_many` batches: the per-instance content
-/// fingerprints **in request order**, the algorithm, and the
-/// response-shaping options. The op tag differs from `dedup_key`'s, so a
-/// one-instance batch never coalesces with the equivalent standalone
-/// `schedule` (their replies have different shapes). Order matters by
-/// design: the reply is ordered, so a permuted batch is a different
-/// request.
-fn many_dedup_key(content_fps: &[u64], algorithm: &str, options: &RequestOptions) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.tag("gateway-op");
-    fp.push_str("schedule_many");
-    fp.tag("instances");
-    fp.push_u64(content_fps.len() as u64);
-    for &c in content_fps {
-        fp.push_u64(c);
-    }
-    fp.tag("algorithms");
-    fp.push_u64(1);
-    fp.push_str(algorithm);
-    fp.tag("options");
-    fp.push_u8(options.simulate as u8);
-    fp.push_u8(options.debug_panic as u8);
-    fp.push_u64(options.debug_sleep_ms.unwrap_or(0));
-    fp.push_u8(options.trace as u8);
-    fp.finish()
+/// Validate a scheduling request at the front door: a bad problem or a
+/// malformed patch parent is answered here (the `Err` is the message) and
+/// never costs a shard anything.
+fn admit(req: &Request) -> Result<Admitted<'_>, String> {
+    let problem = |dag: &DagSpec, system: &SystemSpec, at: &str| -> Result<u64, String> {
+        let dag = dag.build().map_err(|e| format!("invalid dag{at}: {e}"))?;
+        let sys = system
+            .build(&dag)
+            .map_err(|e| format!("invalid system{at}: {e}"))?;
+        Ok(ProblemInstance::content_fingerprint(&dag, &sys))
+    };
+    let one = std::slice::from_ref;
+    let (content, algorithms, deltas, options) = match req {
+        Request::Schedule {
+            dag,
+            system,
+            algorithm,
+            options,
+        } => (
+            vec![problem(dag, system, "")?],
+            one(algorithm),
+            &[][..],
+            options,
+        ),
+        Request::Portfolio {
+            dag,
+            system,
+            algorithms,
+            options,
+        } => (
+            vec![problem(dag, system, "")?],
+            &algorithms[..],
+            &[][..],
+            options,
+        ),
+        Request::ScheduleMany {
+            instances,
+            algorithm,
+            options,
+        } => {
+            if instances.is_empty() {
+                return Err("schedule_many requires at least one instance".to_string());
+            }
+            let content = instances
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| problem(&spec.dag, &spec.system, &format!(" (instance {i})")))
+                .collect::<Result<_, _>>()?;
+            (content, one(algorithm), &[][..], options)
+        }
+        Request::Patch {
+            parent,
+            algorithm,
+            deltas,
+            options,
+        } => {
+            let parent_fp = parse_parent(parent).ok_or_else(|| bad_parent_message(parent))?;
+            (vec![parent_fp], one(algorithm), &deltas[..], options)
+        }
+        Request::Hello
+        | Request::Stats
+        | Request::Journal
+        | Request::Metrics
+        | Request::Shutdown => {
+            return Err(format!("`{}` is not a scheduling op", req.op_name()));
+        }
+    };
+    Ok(Admitted {
+        content,
+        algorithms,
+        deltas,
+        options,
+    })
 }
 
-/// Parse a `patch` parent key: exactly 16 hex digits, as the `problem`
-/// field of a schedule response carries it.
-fn parse_parent(parent: &str) -> Option<u64> {
-    if parent.len() != 16 || !parent.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u64::from_str_radix(parent, 16).ok()
-}
-
-/// Dedup key for `patch` requests: the parent fingerprint, the algorithm,
-/// the deltas' canonical wire form, and the response-shaping options. A
-/// patch never hashes the (DAG, system) content, and the op tag differs
-/// from `dedup_key`'s — so a patch can never coalesce with its parent's
-/// full request, not even when its deltas are a no-op. (Coalescing them
-/// would hand the parent's reply to a client that asked for the patched
-/// problem.)
-fn patch_dedup_key(
-    parent_fp: u64,
-    algorithm: &str,
+/// Single-flight key: the op, the content fingerprints of the problems
+/// it names (in request order — a batch's reply is ordered, so a
+/// permuted batch is a different request), its algorithms, a patch's
+/// deltas, and the reply-shaping options. The op is part of the key, so
+/// a one-instance batch never coalesces with the equivalent standalone
+/// `schedule` (their replies have different shapes), and a patch never
+/// coalesces with its parent's full request, not even when its deltas
+/// are a no-op — that would hand the parent's reply to a client that
+/// asked for the patched problem. [`RequestOptions::fold_fingerprint`]
+/// decides which options split flights, exactly as it decides the
+/// shard's memo key.
+fn flight_key(
+    op: &str,
+    content: &[u64],
+    algorithms: &[String],
     deltas: &[Delta],
     options: &RequestOptions,
 ) -> u64 {
     let mut fp = Fingerprint::new();
     fp.tag("gateway-op");
-    fp.push_str("patch");
-    fp.push_u64(parent_fp);
+    fp.push_str(op);
+    fp.tag("content");
+    fp.push_u64(content.len() as u64);
+    for &c in content {
+        fp.push_u64(c);
+    }
     fp.tag("algorithms");
-    fp.push_u64(1);
-    fp.push_str(algorithm);
+    fp.push_u64(algorithms.len() as u64);
+    for name in algorithms {
+        fp.push_str(name);
+    }
     fp.tag("deltas");
-    fp.push_str(&serde_json::to_string(&deltas).expect("delta serialization is infallible"));
-    fp.tag("options");
-    fp.push_u8(options.simulate as u8);
-    fp.push_u8(options.debug_panic as u8);
-    fp.push_u64(options.debug_sleep_ms.unwrap_or(0));
-    fp.push_u8(options.trace as u8);
+    fp.push_u64(deltas.len() as u64);
+    for delta in deltas {
+        fp.push_str(&serde_json::to_string(delta).expect("delta serialization is infallible"));
+    }
+    options.fold_fingerprint(&mut fp);
     fp.finish()
 }
 
@@ -996,6 +894,46 @@ fn inject_gateway_timing(reply: &str, trace_id: &str, timing: &GatewayTiming) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetsched_dag::Dag;
+    use hetsched_platform::System;
+
+    /// The flight key of a standalone `schedule` request.
+    fn schedule_flight(
+        dag: &Dag,
+        sys: &System,
+        alg_names: &[String],
+        options: &RequestOptions,
+    ) -> u64 {
+        let content = [ProblemInstance::content_fingerprint(dag, sys)];
+        flight_key("schedule", &content, alg_names, &[], options)
+    }
+
+    /// The flight key of a `patch` request.
+    fn patch_flight(
+        parent_fp: u64,
+        algorithm: &str,
+        deltas: &[Delta],
+        options: &RequestOptions,
+    ) -> u64 {
+        flight_key(
+            "patch",
+            &[parent_fp],
+            &[algorithm.to_string()],
+            deltas,
+            options,
+        )
+    }
+
+    /// The flight key of a `schedule_many` batch.
+    fn many_flight(content_fps: &[u64], algorithm: &str, options: &RequestOptions) -> u64 {
+        flight_key(
+            "schedule_many",
+            content_fps,
+            &[algorithm.to_string()],
+            &[],
+            options,
+        )
+    }
 
     fn small_parts() -> (Dag, System, Request) {
         let line = r#"{"op":"schedule","dag":{"tasks":[{"weight":1.0},{"weight":2.0}],"edges":[{"src":0,"dst":1,"data":1.5}]},"system":{"processors":{"kind":"homogeneous","count":2},"network":{"topology":"fully_connected","bandwidth":1.0}},"algorithm":"HEFT","options":{"deadline_ms":5000,"jobs":4}}"#;
@@ -1010,9 +948,9 @@ mod tests {
 
     #[test]
     fn dedup_key_ignores_deadline_and_jobs_but_not_content() {
-        let (dag, sys, req) = small_parts();
+        let (dag, sys, _) = small_parts();
         let base = RequestOptions::default();
-        let k1 = dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &base);
+        let k1 = schedule_flight(&dag, &sys, &["HEFT".to_string()], &base);
         let with_deadline = RequestOptions {
             deadline_ms: Some(10),
             jobs: Some(8),
@@ -1020,7 +958,7 @@ mod tests {
         };
         assert_eq!(
             k1,
-            dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &with_deadline),
+            schedule_flight(&dag, &sys, &["HEFT".to_string()], &with_deadline),
             "deadline/jobs must not split flights"
         );
         let traced = RequestOptions {
@@ -1029,12 +967,12 @@ mod tests {
         };
         assert_ne!(
             k1,
-            dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &traced),
+            schedule_flight(&dag, &sys, &["HEFT".to_string()], &traced),
             "trace changes the reply, so it must split flights"
         );
         assert_ne!(
             k1,
-            dedup_key(&req, &dag, &sys, &["CPOP".to_string()], &base),
+            schedule_flight(&dag, &sys, &["CPOP".to_string()], &base),
             "different algorithm must split flights"
         );
     }
@@ -1189,13 +1127,13 @@ mod tests {
 
     #[test]
     fn patch_key_never_coalesces_with_the_parents_schedule_key() {
-        let (dag, sys, req) = small_parts();
+        let (dag, sys, _) = small_parts();
         let base = RequestOptions::default();
         let parent_fp = ProblemInstance::content_fingerprint(&dag, &sys);
-        let schedule_key = dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &base);
+        let schedule_key = schedule_flight(&dag, &sys, &["HEFT".to_string()], &base);
         // Even a delta-free patch of the same problem under the same
         // algorithm must be its own flight.
-        let patch_key = patch_dedup_key(parent_fp, "HEFT", &[], &base);
+        let patch_key = patch_flight(parent_fp, "HEFT", &[], &base);
         assert_ne!(patch_key, schedule_key);
         // Different deltas split patches from each other; identical
         // patches coalesce.
@@ -1203,40 +1141,40 @@ mod tests {
             task: hetsched_dag::TaskId(0),
             weight: 2.0,
         }];
-        let k1 = patch_dedup_key(parent_fp, "HEFT", &d1, &base);
+        let k1 = patch_flight(parent_fp, "HEFT", &d1, &base);
         assert_ne!(k1, patch_key);
-        assert_eq!(k1, patch_dedup_key(parent_fp, "HEFT", &d1.clone(), &base));
+        assert_eq!(k1, patch_flight(parent_fp, "HEFT", &d1.clone(), &base));
         // Deadline and jobs still never split flights.
         let with_deadline = RequestOptions {
             deadline_ms: Some(10),
             jobs: Some(8),
             ..base.clone()
         };
-        assert_eq!(k1, patch_dedup_key(parent_fp, "HEFT", &d1, &with_deadline));
+        assert_eq!(k1, patch_flight(parent_fp, "HEFT", &d1, &with_deadline));
     }
 
     #[test]
     fn many_dedup_key_is_order_sensitive_and_ignores_deadline() {
         let base = RequestOptions::default();
         let fps = [11u64, 22, 33];
-        let k = many_dedup_key(&fps, "HEFT", &base);
-        assert_eq!(k, many_dedup_key(&[11, 22, 33], "HEFT", &base));
+        let k = many_flight(&fps, "HEFT", &base);
+        assert_eq!(k, many_flight(&[11, 22, 33], "HEFT", &base));
         assert_ne!(
             k,
-            many_dedup_key(&[22, 11, 33], "HEFT", &base),
+            many_flight(&[22, 11, 33], "HEFT", &base),
             "the reply is ordered, so a permuted batch is a different request"
         );
-        assert_ne!(k, many_dedup_key(&fps, "CPOP", &base));
+        assert_ne!(k, many_flight(&fps, "CPOP", &base));
         let with_deadline = RequestOptions {
             deadline_ms: Some(10),
             jobs: Some(8),
             ..base.clone()
         };
-        assert_eq!(k, many_dedup_key(&fps, "HEFT", &with_deadline));
+        assert_eq!(k, many_flight(&fps, "HEFT", &with_deadline));
         // a one-instance batch never coalesces with the standalone op
-        let (dag, sys, req) = small_parts();
-        let single = dedup_key(&req, &dag, &sys, &["HEFT".to_string()], &base);
-        let one = many_dedup_key(
+        let (dag, sys, _) = small_parts();
+        let single = schedule_flight(&dag, &sys, &["HEFT".to_string()], &base);
+        let one = many_flight(
             &[ProblemInstance::content_fingerprint(&dag, &sys)],
             "HEFT",
             &base,

@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use hetsched_core::Schedule;
 use hetsched_dag::io::DagSpec;
+use hetsched_dag::Fingerprint;
 use hetsched_platform::SystemSpec;
 use hetsched_sim::SimResult;
 
@@ -58,6 +59,22 @@ pub struct RequestOptions {
     /// tracing observes routing and queueing, not scheduling.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace_ctx: Option<TraceCtx>,
+}
+
+impl RequestOptions {
+    /// Fold the options that shape the reply body into a fingerprint:
+    /// the one definition behind the serve memo key and the gateway's
+    /// single-flight key. `deadline_ms` bounds the wait, `jobs` changes
+    /// speed (parallel search is bit-identical at any thread count), and
+    /// `trace_ctx` only observes — none of them changes the reply, so
+    /// none of them is folded.
+    pub fn fold_fingerprint(&self, fp: &mut Fingerprint) {
+        fp.tag("options");
+        fp.push_u8(self.simulate as u8);
+        fp.push_u8(self.debug_panic as u8);
+        fp.push_u64(self.debug_sleep_ms.unwrap_or(0));
+        fp.push_u8(self.trace as u8);
+    }
 }
 
 /// Per-request distributed trace context, carried in
@@ -200,6 +217,56 @@ impl Request {
     pub fn parse(line: &str) -> Result<Request, serde_json::Error> {
         serde_json::from_str(line)
     }
+
+    /// The wire name of this request's op (its `"op"` field).
+    pub fn op_name(&self) -> &'static str {
+        match self {
+            Request::Schedule { .. } => "schedule",
+            Request::Portfolio { .. } => "portfolio",
+            Request::ScheduleMany { .. } => "schedule_many",
+            Request::Patch { .. } => "patch",
+            Request::Hello => "hello",
+            Request::Stats => "stats",
+            Request::Journal => "journal",
+            Request::Metrics => "metrics",
+            Request::Shutdown => "shutdown",
+        }
+    }
+
+    /// The options of a scheduling op; `None` for the control ops, which
+    /// carry none.
+    pub fn options(&self) -> Option<&RequestOptions> {
+        match self {
+            Request::Schedule { options, .. }
+            | Request::Portfolio { options, .. }
+            | Request::ScheduleMany { options, .. }
+            | Request::Patch { options, .. } => Some(options),
+            Request::Hello
+            | Request::Stats
+            | Request::Journal
+            | Request::Metrics
+            | Request::Shutdown => None,
+        }
+    }
+}
+
+/// Parse a `patch` parent key: exactly 16 ASCII hex digits, as the
+/// `problem` field of a schedule response carries it — no sign, no
+/// prefix, no padding.
+pub fn parse_parent(parent: &str) -> Option<u64> {
+    if parent.len() != 16 || !parent.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(parent, 16).ok()
+}
+
+/// The `unknown_parent` message both tiers answer for a `patch` whose
+/// parent key [`parse_parent`] rejects.
+pub fn bad_parent_message(parent: &str) -> String {
+    format!(
+        "unknown_parent: `{parent}` is not a 16-hex-digit problem fingerprint \
+         (use the `problem` field of an earlier schedule response)"
+    )
 }
 
 /// One problem of a `schedule_many` batch: a DAG plus its target system.

@@ -1,22 +1,30 @@
 //! Routing layer: request validation, memoization, deadlines, and
 //! admission to the bounded worker queue.
 //!
-//! Life of a `schedule` request:
+//! Every scheduling op takes one pipeline; the ops differ only in how they
+//! validate and in how their answers combine.
 //!
-//! 1. The submitting thread (a TCP connection thread or the stdin loop)
-//!    parses and validates the request, builds the `Dag`/`System`, and
-//!    computes the request's content fingerprint.
-//! 2. On a cache hit the response is returned immediately (`cached: true`).
-//! 3. Otherwise the job goes into a bounded crossbeam channel. A full
-//!    queue answers `busy` right away — backpressure is explicit, never
-//!    an unbounded pile-up.
-//! 4. A worker (`crate::worker`) picks the job up and runs the scheduler
-//!    inside `catch_unwind`, so a panicking algorithm poisons nothing: the
-//!    client gets `error` and the daemon keeps serving.
-//! 5. The submitting thread waits for the reply with a deadline
-//!    (`options.deadline_ms`, else the configured default) and answers
-//!    `timeout` if it passes. The worker still finishes and populates the
-//!    cache, so an identical retry can hit.
+//! 1. **Plan.** The submitting thread (a TCP connection thread or the
+//!    stdin loop) validates the request in the op's own order and turns it
+//!    into **members** — a shared `ProblemInstance` from the instance
+//!    cache, an algorithm and, for a repairable `patch`, a repair context
+//!    — plus one **reducer**: `Single` (`schedule`, `patch`), `Ordered`
+//!    (`schedule_many`) or `MinByMakespan` (`portfolio`). Control ops and
+//!    validation errors are answered here.
+//! 2. **Submit.** Each member's memo key is computed once. A repeat of an
+//!    earlier member answers from it, a memo hit answers at once, and the
+//!    rest go onto a bounded crossbeam channel: a `Single` request on a
+//!    full queue answers `busy` right away, a fan-out blocks until its
+//!    deadline while the workers drain its burst.
+//! 3. **Compute.** A worker (`crate::worker`) runs the scheduler inside
+//!    `catch_unwind`: a panicking algorithm yields `error` for its request
+//!    and the daemon keeps serving.
+//! 4. **Await.** The submitting thread waits for every member under one
+//!    deadline and answers `timeout` if it passes; the workers still finish
+//!    and populate the cache, so an identical retry can hit.
+//! 5. **Reduce.** The reducer turns the answers into the reply body — the
+//!    schedule, the batch in request order, or the portfolio table and its
+//!    winner — and names the `timeout` message and `timing.cache` label.
 //!
 //! Shutdown is drain-then-exit: [`Service::shutdown`] closes the queue,
 //! lets workers finish every queued job (replies included), then joins
@@ -27,7 +35,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 
 use hetsched_core::{algorithms, repairable, Delta, ProblemInstance, Scheduler};
@@ -39,9 +47,9 @@ use crate::cache::LruCache;
 use crate::journal::Journal;
 use crate::metrics::{GaugeSnapshot, RequestStatus, ServiceMetrics};
 use crate::protocol::{
-    HelloBody, InstanceSpec, JournalBody, PortfolioBody, PortfolioEntryBody, Request,
-    RequestOptions, Response, ScheduleBody, ScheduleManyBody, ServeTiming, SpanRecord, StatsBody,
-    TimingBody,
+    bad_parent_message, parse_parent, HelloBody, JournalBody, PortfolioBody, PortfolioEntryBody,
+    Request, RequestOptions, Response, ScheduleBody, ScheduleManyBody, ServeTiming, SpanRecord,
+    StatsBody, TimingBody,
 };
 use crate::wire::{self, WireScan};
 use crate::worker::{worker_loop, Job, JobCtx, RepairCtx};
@@ -150,10 +158,8 @@ pub struct Service {
 
 /// Content fingerprint of a scheduling request: DAG structure and weights,
 /// full system (ETC + network), algorithm name, and the options that
-/// influence the response body. `deadline_ms` is deliberately excluded —
-/// it bounds how long the client waits, not what is computed. `jobs` is
-/// excluded for the same reason: parallel search is bit-identical at any
-/// thread count, so it changes speed, never the response.
+/// influence the response body (see [`RequestOptions::fold_fingerprint`]
+/// for which ones do).
 pub fn request_fingerprint(
     dag: &Dag,
     sys: &System,
@@ -165,11 +171,7 @@ pub fn request_fingerprint(
     sys.fold_fingerprint(&mut fp);
     fp.tag("algorithm");
     fp.push_str(algorithm);
-    fp.tag("options");
-    fp.push_u8(options.simulate as u8);
-    fp.push_u8(options.debug_panic as u8);
-    fp.push_u64(options.debug_sleep_ms.unwrap_or(0));
-    fp.push_u8(options.trace as u8);
+    options.fold_fingerprint(&mut fp);
     fp.finish()
 }
 
@@ -240,57 +242,74 @@ impl Service {
     /// Handle one NDJSON request line, returning the response (never
     /// panics, never blocks past the request deadline).
     pub fn handle_line(&self, line: &str) -> Response {
-        let arrival = Instant::now();
-        match Request::parse(line) {
-            Ok(req) => {
-                let parse_us = arrival.elapsed().as_micros() as u64;
-                self.handle_at(req, LineMeta { arrival, parse_us }, false)
-                    .into_response()
-            }
-            Err(e) => {
-                ServiceMetrics::bump(&self.shared.metrics.errors);
-                Response::error(format!("bad request: {e}"))
-            }
-        }
+        self.answer(line, Instant::now(), false).resp
     }
 
     /// Handle one NDJSON request line entirely in bytes: the transport's
     /// hot path. Repeat lines are answered from the wire cache without
     /// any JSON parsing, instance construction, or serialization — one
-    /// digest probe returns the `Arc` of the exact bytes the slow path
-    /// would have produced. Everything else takes the ordinary
-    /// [`Service::handle_line`] route, preserialized where the memo
-    /// allows, serialized on the spot otherwise.
+    /// digest probe returns the `Arc` of the exact bytes the full pipeline
+    /// would have produced. Everything else takes the pipeline,
+    /// preserialized where the memo allows, serialized on the spot
+    /// otherwise, and a stable reply is written through to the wire cache.
     pub fn handle_line_bytes(&self, line: &str) -> Arc<[u8]> {
         let arrival = Instant::now();
-        let m = &self.shared.metrics;
-        let Some(scan) = wire::scan(line.as_bytes()) else {
-            ServiceMetrics::bump(&m.wire_fallbacks);
-            return self.slow_line(line, arrival, None);
+        let store = match self.wire_lookup(line, arrival) {
+            Ok(hit) => return hit,
+            Err(store) => store,
         };
-        // During shutdown the slow path refuses scheduling ops; a wire
-        // hit must not answer what the slow path would refuse.
-        if !self.is_shutting_down() {
-            let epoch = self.shared.wire_epoch.load(Ordering::Acquire);
-            let hit = self
-                .shared
-                .wire
-                .lock()
-                .get(scan.digest)
-                .filter(|e| e.epoch == epoch)
-                .map(|e| e.bytes.clone());
-            if let Some(bytes) = hit {
-                self.record_wire_hit(&scan, arrival);
-                return bytes;
-            }
-            ServiceMetrics::bump(&m.wire_misses);
-            // The epoch is captured *before* the slow path runs: if any
-            // eviction lands while we compute, the entry we store is
-            // already stale and will never be served.
-            return self.slow_line(line, arrival, Some((scan.digest, epoch)));
+        let bytes = self.answer(line, arrival, true).into_bytes();
+        if let Some((digest, epoch)) = store {
+            self.wire_store(digest, epoch, &bytes);
         }
-        ServiceMetrics::bump(&m.wire_fallbacks);
-        self.slow_line(line, arrival, None)
+        bytes
+    }
+
+    /// Probe the wire cache. `Err` carries what a miss needs to write its
+    /// reply through: the digest and the epoch captured *before* the
+    /// pipeline runs (an eviction landing meanwhile makes the entry stale,
+    /// never served) — or `None` if the scanner refused the line or
+    /// shutdown has begun, when the pipeline refuses what a hit would
+    /// answer.
+    fn wire_lookup(&self, line: &str, arrival: Instant) -> Result<Arc<[u8]>, Option<(u64, u64)>> {
+        let m = &self.shared.metrics;
+        let scan = match wire::scan(line.as_bytes()) {
+            Some(scan) if !self.is_shutting_down() => scan,
+            _ => {
+                ServiceMetrics::bump(&m.wire_fallbacks);
+                return Err(None);
+            }
+        };
+        let epoch = self.shared.wire_epoch.load(Ordering::Acquire);
+        let hit = self
+            .shared
+            .wire
+            .lock()
+            .get(scan.digest)
+            .filter(|e| e.epoch == epoch)
+            .map(|e| e.bytes.clone());
+        match hit {
+            Some(bytes) => {
+                self.record_wire_hit(&scan, arrival);
+                Ok(bytes)
+            }
+            None => {
+                ServiceMetrics::bump(&m.wire_misses);
+                Err(Some((scan.digest, epoch)))
+            }
+        }
+    }
+
+    /// Write a reply through to the wire cache under the digest and epoch
+    /// [`Service::wire_lookup`] captured, if the reply is stable.
+    fn wire_store(&self, digest: u64, epoch: u64, bytes: &Arc<[u8]>) {
+        if wire::reply_stable(bytes) {
+            let entry = WireEntry {
+                bytes: bytes.clone(),
+                epoch,
+            };
+            self.shared.wire.lock().insert(digest, entry);
+        }
     }
 
     /// Account one wire-cache hit: it is a request, a cache hit, and a
@@ -303,107 +322,68 @@ impl Service {
         ServiceMetrics::bump(&m.requests);
         ServiceMetrics::bump(&m.cache_hits);
         ServiceMetrics::bump(&m.wire_hits);
-        let elapsed = arrival.elapsed();
-        m.latency.record(RequestStatus::Success, elapsed);
-        m.op_outcomes.bump(scan.op.as_str(), RequestStatus::Success);
-        if let Some(d) = scan.deadline_ms {
-            m.deadline_slack
-                .record(Duration::from_millis(d).saturating_sub(elapsed));
-        }
+        let op = scan.op.as_str();
+        self.record_outcome(op, scan.deadline_ms, arrival, RequestStatus::Success);
     }
 
-    /// Full-parse tail of [`Service::handle_line_bytes`]; when `store`
-    /// carries a scanned digest and its pre-captured epoch, a stable
-    /// reply is written through to the wire cache.
-    fn slow_line(&self, line: &str, arrival: Instant, store: Option<(u64, u64)>) -> Arc<[u8]> {
-        let reply = match Request::parse(line) {
-            Ok(req) => {
-                let parse_us = arrival.elapsed().as_micros() as u64;
-                self.handle_at(req, LineMeta { arrival, parse_us }, true)
-            }
-            Err(e) => {
-                ServiceMetrics::bump(&self.shared.metrics.errors);
-                Reply::Typed(Response::error(format!("bad request: {e}")))
-            }
+    /// Parse one line and answer it: control ops and validation errors
+    /// straight from [`Service::plan`], scheduling work through
+    /// [`Service::run`]. Every scheduling op's outcome is recorded for
+    /// SLO accounting.
+    fn answer(&self, line: &str, arrival: Instant, want_bytes: bool) -> Reply {
+        let req = match Request::parse(line) {
+            Ok(req) => req,
+            Err(e) => return Reply::typed(self.reject(format!("bad request: {e}"))),
         };
-        let bytes = reply.into_bytes();
-        if let Some((digest, epoch)) = store {
-            if wire::reply_stable(&bytes) {
-                self.shared.wire.lock().insert(
-                    digest,
-                    WireEntry {
-                        bytes: bytes.clone(),
-                        epoch,
-                    },
-                );
-            }
-        }
-        bytes
-    }
-
-    /// Handle one parsed request.
-    pub fn handle(&self, req: Request) -> Response {
-        self.handle_at(
-            req,
-            LineMeta {
-                arrival: Instant::now(),
-                parse_us: 0,
-            },
-            false,
-        )
-        .into_response()
-    }
-
-    fn handle_at(&self, req: Request, meta: LineMeta, want_bytes: bool) -> Reply {
-        let record = |op: &str, deadline_ms: Option<u64>, reply: &Reply| {
-            if let Some(status) = reply.status() {
-                self.record_outcome(op, deadline_ms, meta.arrival, status);
-            }
+        let meta = LineMeta {
+            arrival,
+            parse_us: arrival.elapsed().as_micros() as u64,
         };
-        match req {
-            Request::Hello => Reply::Typed(Response::hello(self.hello_body())),
-            Request::Stats => Reply::Typed(Response::stats(self.stats_body())),
-            Request::Metrics => Reply::Typed(Response::metrics(self.metrics_text())),
-            Request::Journal => Reply::Typed(Response::journal(JournalBody {
-                source: "shard".to_string(),
-                spans: self.shared.journal.drain(),
-            })),
+        let (op, deadline_ms) = (req.op_name(), req.options().map(|o| o.deadline_ms));
+        let reply = match self.plan(req) {
+            Ok(plan) => self.run(plan, meta, want_bytes),
+            Err(resp) => Reply::typed(resp),
+        };
+        if let (Some(deadline_ms), Some(status)) = (deadline_ms, reply.status()) {
+            self.record_outcome(op, deadline_ms, arrival, status);
+        }
+        reply
+    }
+
+    /// Validate a request and lay out its work, keeping each op's own
+    /// validation order. `Err` is an immediate answer: a control op's
+    /// reply, a refusal during shutdown, or a validation error.
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
+    fn plan(&self, req: Request) -> Result<Plan, Response> {
+        let (members, reduce, options) = match req {
+            Request::Hello => return Err(Response::hello(self.hello_body())),
+            Request::Stats => return Err(Response::stats(self.stats_body())),
+            Request::Metrics => return Err(Response::metrics(self.metrics_text())),
+            Request::Journal => {
+                return Err(Response::journal(JournalBody {
+                    source: "shard".to_string(),
+                    spans: self.shared.journal.drain(),
+                }))
+            }
             Request::Shutdown => {
                 self.begin_shutdown();
-                Reply::Typed(Response::ShuttingDown)
+                return Err(Response::ShuttingDown);
             }
+            _ if self.is_shutting_down() => return Err(Response::ShuttingDown),
             Request::Schedule {
                 dag,
                 system,
                 algorithm,
                 options,
             } => {
-                let deadline_ms = options.deadline_ms;
-                let reply = self.handle_schedule(dag, system, algorithm, options, meta, want_bytes);
-                record("schedule", deadline_ms, &reply);
-                reply
-            }
-            Request::Portfolio {
-                dag,
-                system,
-                algorithms,
-                options,
-            } => {
-                let deadline_ms = options.deadline_ms;
-                let reply =
-                    Reply::Typed(self.handle_portfolio(dag, system, algorithms, options, meta));
-                record("portfolio", deadline_ms, &reply);
-                reply
-            }
-            Request::ScheduleMany {
-                instances,
-                algorithm,
-                options,
-            } => {
-                let deadline_ms = options.deadline_ms;
-                let reply = Reply::Typed(self.handle_many(instances, algorithm, options, meta));
-                record("schedule_many", deadline_ms, &reply);
-                reply
+                let (key, dag, sys) = self.build_problem(dag, system)?;
+                let alg = self.scheduler(&algorithm)?;
+                let inst = self.instance_for(key, dag, sys);
+                (
+                    vec![Member::new(inst, algorithm, alg)],
+                    Reduce::Single,
+                    options,
+                )
             }
             Request::Patch {
                 parent,
@@ -411,12 +391,240 @@ impl Service {
                 deltas,
                 options,
             } => {
-                let deadline_ms = options.deadline_ms;
-                let reply =
-                    self.handle_patch(&parent, algorithm, &deltas, options, meta, want_bytes);
-                record("patch", deadline_ms, &reply);
-                reply
+                let member = self.patch_member(&parent, algorithm, &deltas, &options)?;
+                (vec![member], Reduce::Single, options)
             }
+            Request::Portfolio {
+                dag,
+                system,
+                algorithms: names,
+                options,
+            } => {
+                let names = if names.is_empty() {
+                    algorithms::known_names()
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect()
+                } else {
+                    names
+                };
+                let algs = names
+                    .iter()
+                    .map(|name| self.scheduler(name))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let (key, dag, sys) = self.build_problem(dag, system)?;
+                let inst = self.instance_for(key, dag, sys);
+                let members = names
+                    .into_iter()
+                    .zip(algs)
+                    .map(|(algorithm, alg)| Member::new(inst.clone(), algorithm, alg))
+                    .collect();
+                (members, Reduce::MinByMakespan, options)
+            }
+            Request::ScheduleMany {
+                instances,
+                algorithm,
+                options,
+            } => {
+                if instances.is_empty() {
+                    return Err(self.reject("schedule_many requires at least one instance"));
+                }
+                let alg = self.scheduler(&algorithm)?;
+                // Repeats of one problem share its instance and consult
+                // the instance cache once.
+                let mut seen: Vec<(u64, Arc<ProblemInstance<'static>>)> = Vec::new();
+                let mut members = Vec::with_capacity(instances.len());
+                for spec in instances {
+                    let (key, dag, sys) = self.build_problem(spec.dag, spec.system)?;
+                    let inst = match seen.iter().find(|(k, _)| *k == key) {
+                        Some((_, inst)) => inst.clone(),
+                        None => {
+                            let inst = self.instance_for(key, dag, sys);
+                            seen.push((key, inst.clone()));
+                            inst
+                        }
+                    };
+                    members.push(Member::new(inst, algorithm.clone(), alg.clone()));
+                }
+                (members, Reduce::Ordered, options)
+            }
+        };
+        Ok(Plan {
+            members,
+            reduce,
+            options,
+        })
+    }
+
+    /// The one member of a `patch`: resolve `parent` through the instance
+    /// cache, apply the deltas, and register the patched problem under
+    /// its own content fingerprint so later patches can chain off it,
+    /// exactly as a full request for the patched problem would have. The
+    /// reply is what a `schedule` request for the patched problem would
+    /// answer. For the EFT family the member carries a [`RepairCtx`], so
+    /// the worker replays the parent's unaffected placements instead of
+    /// recomputing them — bit-identical either way (the core repair
+    /// contract).
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
+    fn patch_member(
+        &self,
+        parent: &str,
+        algorithm: String,
+        deltas: &[Delta],
+        options: &RequestOptions,
+    ) -> Result<Member, Response> {
+        let parent_key =
+            parse_parent(parent).ok_or_else(|| self.reject(bad_parent_message(parent)))?;
+        let Some(parent_inst) = self.shared.instances.lock().get(parent_key).cloned() else {
+            return Err(self.reject(format!(
+                "unknown_parent: no cached problem with fingerprint {parent} (never seen or \
+                 evicted); re-send the full problem as a `schedule` request to re-seed the cache"
+            )));
+        };
+        let alg = self.scheduler(&algorithm)?;
+        let patched = parent_inst
+            .apply_deltas(deltas)
+            .map_err(|e| self.reject(format!("invalid delta: {e}")))?;
+        let (inst, dirty) = (Arc::new(patched.instance.into_owned()), patched.dirty);
+        ServiceMetrics::bump(&self.shared.metrics.patches);
+        let evicted = self
+            .shared
+            .instances
+            .lock()
+            .insert(inst.fingerprint(), inst.clone());
+        self.shared.note_eviction(evicted);
+
+        // Repair wants the parent's schedule under the same algorithm and
+        // options; when it is no longer memoized (or the algorithm is not
+        // repair-capable) the worker simply computes from scratch. Traced
+        // requests also compute fresh: a replayed prefix would truncate
+        // the decision log the client asked for.
+        let repair = repairable(&algorithm)
+            .filter(|_| !options.trace)
+            .and_then(|scheduler| {
+                let parent_fp =
+                    request_fingerprint(parent_inst.dag(), parent_inst.sys(), &algorithm, options);
+                let parent_sched = self
+                    .shared
+                    .cache
+                    .lock()
+                    .get(parent_fp)
+                    .map(|e| e.body.schedule.clone())?;
+                Some(RepairCtx {
+                    scheduler,
+                    dirty,
+                    parent_inst: parent_inst.clone(),
+                    parent_sched,
+                })
+            });
+        let mut member = Member::new(inst, algorithm, alg);
+        member.repair = repair;
+        Ok(member)
+    }
+
+    /// Run a plan: look each member up in the memo or submit it, await
+    /// every member under one deadline, and hand the answers to the
+    /// reducer.
+    fn run(&self, plan: Plan, meta: LineMeta, want_bytes: bool) -> Reply {
+        let Plan {
+            members,
+            reduce,
+            options,
+        } = plan;
+        let m = &self.shared.metrics;
+        let deadline = Duration::from_millis(
+            options
+                .deadline_ms
+                .unwrap_or(self.shared.config.default_deadline_ms),
+        );
+        let single = reduce == Reduce::Single;
+        // Admission follows from the reducer: a single request answers
+        // `busy` at once when the queue is full, while a fan-out — whose
+        // burst may legitimately exceed the queue capacity — blocks until
+        // its deadline as the workers drain the queue.
+        let block_until = (!single).then(|| meta.arrival + deadline);
+        // Only an untraced single reply can be a memo line as is.
+        let want_line = want_bytes && single && options.trace_ctx.is_none();
+        let fail = |resp| Reply::typed(self.finalize_timing(resp, &options, meta, label("none")));
+
+        let mut keys: Vec<u64> = Vec::with_capacity(members.len());
+        let mut names: Vec<String> = Vec::with_capacity(members.len());
+        let mut states = Vec::with_capacity(members.len());
+        for member in members {
+            let (inst, algorithm) = (&member.inst, &member.algorithm);
+            let key = request_fingerprint(inst.dag(), inst.sys(), algorithm, &options);
+            names.push(algorithm.clone());
+            let state = match keys.iter().position(|&k| k == key) {
+                Some(first) => State::Repeat(first),
+                None => {
+                    // Worker-side spans are recorded for single requests;
+                    // a fan-out's trace is its root span.
+                    let ctx = JobCtx::for_options(&options, meta.arrival).filter(|_| single);
+                    match self.memo_or_submit(member, key, &options, ctx, block_until, want_line) {
+                        Ok(state) => state,
+                        Err(resp) => return fail(resp),
+                    }
+                }
+            };
+            keys.push(key);
+            states.push(state);
+        }
+
+        // What a single member's traced reply reports: the worker's serve
+        // timing when it computed, the memo's disposition otherwise.
+        let mut serve = label("memo");
+        let mut line = None;
+        let mut bodies: Vec<ScheduleBody> = Vec::with_capacity(states.len());
+        for (i, state) in states.into_iter().enumerate() {
+            let body = match state {
+                State::Repeat(first) => ScheduleBody {
+                    cached: true,
+                    ..bodies[first].clone()
+                },
+                State::Memo { body, line: memo } => {
+                    line = memo;
+                    *body
+                }
+                State::Pending(rx) => {
+                    let remaining = deadline.saturating_sub(meta.arrival.elapsed());
+                    match await_reply(&rx, remaining) {
+                        Ok(Response::Ok {
+                            schedule: Some(body),
+                            timing,
+                            ..
+                        }) => {
+                            if let Some(t) = timing.and_then(|t| t.serve) {
+                                serve = t;
+                            }
+                            body
+                        }
+                        Ok(other) => return fail(other),
+                        Err(channel::RecvTimeoutError::Timeout) => {
+                            ServiceMetrics::bump(&m.timeouts);
+                            return fail(reduce.timeout(deadline, i, &names[i]));
+                        }
+                        Err(channel::RecvTimeoutError::Disconnected) => {
+                            // Workers always reply, even on panic; reaching
+                            // this means the pool is gone mid-request
+                            // (shutdown race).
+                            ServiceMetrics::bump(&m.errors);
+                            return fail(Response::error("worker pool shut down before replying"));
+                        }
+                    }
+                }
+            };
+            bodies.push(body);
+        }
+        // A portfolio spans several algorithms, so it feeds no
+        // per-algorithm histogram.
+        if reduce != Reduce::MinByMakespan {
+            m.record_algorithm(&names[0], meta.arrival.elapsed());
+        }
+        let (resp, cache) = reduce.reply(bodies);
+        let serve = cache.map_or(serve, label);
+        Reply {
+            resp: self.finalize_timing(resp, &options, meta, serve),
+            line,
         }
     }
 
@@ -444,44 +652,32 @@ impl Service {
 
     /// Finish a traced request at this tier: push the root `request` (and
     /// `parse`) spans to the journal and attach the reply's `timing`
-    /// block, merging whatever partial serve timing the worker recorded.
+    /// block, completing `serve` — the worker's partial timing for a
+    /// computed single request, else just the reducer's cache label.
     /// Untraced requests pass through untouched.
     fn finalize_timing(
         &self,
         resp: Response,
         options: &RequestOptions,
         meta: LineMeta,
-        fallback_cache: &str,
+        mut serve: ServeTiming,
     ) -> Response {
         let Some(ctx) = options.trace_ctx.as_ref() else {
             return resp;
         };
-        let total_us = (meta.arrival.elapsed().as_micros() as u64).max(1);
-        let mut serve = match &resp {
-            Response::Ok {
-                timing: Some(t), ..
-            } => t.serve.clone().unwrap_or_default(),
-            _ => ServeTiming::default(),
-        };
-        if serve.cache.is_empty() {
-            serve.cache = fallback_cache.to_string();
-        }
-        serve.total_us = total_us;
+        serve.total_us = (meta.arrival.elapsed().as_micros() as u64).max(1);
         serve.parse_us = meta.parse_us;
-        self.shared.journal.push(SpanRecord {
+        let span = |name: &str, dur_us, detail: &str| SpanRecord {
             trace_id: ctx.trace_id.clone(),
-            name: "parse".to_string(),
+            name: name.to_string(),
             start_us: 0,
-            dur_us: meta.parse_us,
-            detail: String::new(),
-        });
-        self.shared.journal.push(SpanRecord {
-            trace_id: ctx.trace_id.clone(),
-            name: "request".to_string(),
-            start_us: 0,
-            dur_us: total_us,
-            detail: serve.cache.clone(),
-        });
+            dur_us,
+            detail: detail.to_string(),
+        };
+        self.shared.journal.extend([
+            span("parse", serve.parse_us, ""),
+            span("request", serve.total_us, &serve.cache),
+        ]);
         resp.with_timing(TimingBody {
             trace_id: ctx.trace_id.clone(),
             hops: ctx.hops.clone(),
@@ -551,37 +747,49 @@ impl Service {
         self.shared.metrics.render_prometheus(&gauges)
     }
 
-    /// Build the `Dag` and `System` from their wire specs, reporting
-    /// protocol errors uniformly.
-    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
-    fn build_problem(&self, dag: DagSpec, system: SystemSpec) -> Result<(Dag, System), Response> {
-        let m = &self.shared.metrics;
-        let dag = match dag.build() {
-            Ok(d) => d,
-            Err(e) => {
-                ServiceMetrics::bump(&m.errors);
-                return Err(Response::error(format!("invalid dag: {e}")));
-            }
-        };
-        let sys = match system.build(&dag) {
-            Ok(s) => s,
-            Err(e) => {
-                ServiceMetrics::bump(&m.errors);
-                return Err(Response::error(format!("invalid system: {e}")));
-            }
-        };
-        Ok((dag, sys))
+    /// Count a validation failure and build its `error` reply.
+    fn reject(&self, message: impl Into<String>) -> Response {
+        ServiceMetrics::bump(&self.shared.metrics.errors);
+        Response::error(message)
     }
 
-    /// Fetch the shared [`ProblemInstance`] for `(dag, sys)` from the
-    /// instance cache, building and inserting it on a miss. The cache is
-    /// keyed by the (DAG, system) content fingerprint alone — algorithm
-    /// and options are deliberately excluded, so a portfolio's members and
-    /// repeat requests with different algorithms all share one instance
-    /// and its memoized rank vectors.
-    fn instance_for(&self, dag: Dag, sys: System) -> Arc<ProblemInstance<'static>> {
-        let m = &self.shared.metrics;
+    /// Build the `Dag` and `System` from their wire specs, reporting
+    /// protocol errors uniformly, and key them for the instance cache.
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
+    fn build_problem(
+        &self,
+        dag: DagSpec,
+        system: SystemSpec,
+    ) -> Result<(u64, Dag, System), Response> {
+        let dag = dag
+            .build()
+            .map_err(|e| self.reject(format!("invalid dag: {e}")))?;
+        let sys = system
+            .build(&dag)
+            .map_err(|e| self.reject(format!("invalid system: {e}")))?;
         let key = ProblemInstance::content_fingerprint(&dag, &sys);
+        Ok((key, dag, sys))
+    }
+
+    /// The registered scheduler called `name`.
+    #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
+    fn scheduler(&self, name: &str) -> Result<Arc<dyn Scheduler + Send + Sync>, Response> {
+        algorithms::by_name(name).map(Arc::from).ok_or_else(|| {
+            self.reject(format!(
+                "unknown algorithm `{name}` (known: {})",
+                algorithms::known_names().join(", ")
+            ))
+        })
+    }
+
+    /// Fetch the shared [`ProblemInstance`] for `(dag, sys)` — content key
+    /// `key` — from the instance cache, building and inserting it on a
+    /// miss. The key is the (DAG, system) content fingerprint alone —
+    /// algorithm and options are deliberately excluded, so a portfolio's
+    /// members and repeat requests with different algorithms all share
+    /// one instance and its memoized rank vectors.
+    fn instance_for(&self, key: u64, dag: Dag, sys: System) -> Arc<ProblemInstance<'static>> {
+        let m = &self.shared.metrics;
         if let Some(inst) = self.shared.instances.lock().get(key) {
             ServiceMetrics::bump(&m.instance_cache_hits);
             return inst.clone();
@@ -597,74 +805,59 @@ impl Service {
     }
 
     /// Enqueue one scheduling job. With `block_until: None` a full queue
-    /// answers `busy` immediately (the single-request path). With a
-    /// deadline, the send blocks until a slot frees or the deadline
-    /// passes — the portfolio path, whose members arrive as one burst
-    /// that may legitimately exceed the queue capacity; the workers drain
-    /// the queue while the submitter waits.
+    /// answers `busy` immediately. With a deadline, the send blocks until
+    /// a slot frees or the deadline passes — for a fan-out, whose members
+    /// arrive as one burst that may legitimately exceed the queue
+    /// capacity; the workers drain the queue while the submitter waits.
     #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
     fn enqueue(&self, job: Job, block_until: Option<Instant>) -> Result<(), Response> {
         let guard = self.tx.lock();
         let Some(tx) = guard.as_ref() else {
             return Err(Response::ShuttingDown);
         };
-        let busy = |m: &ServiceMetrics| {
-            ServiceMetrics::bump(&m.busy_rejections);
-            Err(Response::Busy {
-                message: format!(
-                    "request queue full ({} pending)",
-                    self.shared.config.queue_capacity
-                ),
-            })
+        // `Err(true)`: the queue stayed full; `Err(false)`: the pool is gone.
+        let sent = match block_until {
+            None => tx.try_send(job).map_err(|e| e.is_full()),
+            Some(at) => tx
+                .send_timeout(job, at.saturating_duration_since(Instant::now()))
+                .map_err(|e| matches!(e, channel::SendTimeoutError::Timeout(_))),
         };
-        match block_until {
-            None => match tx.try_send(job) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(_)) => busy(&self.shared.metrics),
-                Err(TrySendError::Disconnected(_)) => Err(Response::ShuttingDown),
-            },
-            Some(deadline) => {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match tx.send_timeout(job, remaining) {
-                    Ok(()) => Ok(()),
-                    Err(channel::SendTimeoutError::Timeout(_)) => busy(&self.shared.metrics),
-                    Err(channel::SendTimeoutError::Disconnected(_)) => Err(Response::ShuttingDown),
-                }
+        match sent {
+            Ok(()) => Ok(()),
+            Err(false) => Err(Response::ShuttingDown),
+            Err(true) => {
+                ServiceMetrics::bump(&self.shared.metrics.busy_rejections);
+                let pending = self.shared.config.queue_capacity;
+                let message = format!("request queue full ({pending} pending)");
+                Err(Response::Busy { message })
             }
         }
     }
 
-    /// Reply-memo lookup or job submission for one `(instance, algorithm)`
-    /// pair: returns the cached body immediately on a memo hit, otherwise
-    /// enqueues the job and hands back the reply channel to wait on.
-    ///
-    /// `want_line` asks for the entry's preserialized memo line alongside
-    /// the body; only the bytes path sets it, so typed callers (portfolio
-    /// and batch composition, traced requests, in-process [`Service::handle`])
-    /// never pay the serialization.
+    /// Answer one member from the reply memo, or enqueue it and hand back
+    /// the reply channel to wait on. `want_line` asks a memo hit for its
+    /// preserialized line alongside the body; only an untraced single
+    /// request on the bytes path sets it, so every other caller skips the
+    /// serialization.
     #[allow(clippy::result_large_err)] // the Err is the wire `Response`; see `protocol::Response`
-    #[allow(clippy::too_many_arguments)] // one-call-site-per-op plumbing of request state
     fn memo_or_submit(
         &self,
-        inst: &Arc<ProblemInstance<'static>>,
-        algorithm: &str,
-        alg: Box<dyn Scheduler + Send + Sync>,
+        member: Member,
+        key: u64,
         options: &RequestOptions,
-        block_until: Option<Instant>,
-        repair: Option<RepairCtx>,
         ctx: Option<JobCtx>,
+        block_until: Option<Instant>,
         want_line: bool,
-    ) -> Result<MemberState, Response> {
+    ) -> Result<State, Response> {
         let m = &self.shared.metrics;
         ServiceMetrics::bump(&m.requests);
-        let fp = request_fingerprint(inst.dag(), inst.sys(), algorithm, options);
-        if let Some(hit) = self.shared.cache.lock().get(fp) {
+        if let Some(hit) = self.shared.cache.lock().get(key) {
             let mut body = hit.body.clone();
             body.cached = true;
             // The first bytes-path hit serializes the memo line (under
             // the cache lock — once per entry, and contenders would
             // otherwise each serialize it themselves); every later hit
-            // clones the Arc. Typed hits skip the line entirely.
+            // clones the Arc.
             let line = want_line.then(|| {
                 hit.line
                     .get_or_init(|| {
@@ -675,7 +868,7 @@ impl Service {
                     .clone()
             });
             ServiceMetrics::bump(&m.cache_hits);
-            return Ok(MemberState::Cached {
+            return Ok(State::Memo {
                 body: Box::new(body),
                 line,
             });
@@ -683,540 +876,193 @@ impl Service {
         let (reply_tx, reply_rx) = channel::bounded::<Response>(1);
         self.enqueue(
             Job {
-                inst: inst.clone(),
-                algorithm: algorithm.to_string(),
-                alg,
+                inst: member.inst,
+                algorithm: member.algorithm,
+                alg: member.alg,
                 options: options.clone(),
-                fingerprint: fp,
-                repair,
+                fingerprint: key,
+                repair: member.repair,
                 enqueued: Instant::now(),
                 ctx,
                 reply: reply_tx,
             },
             block_until,
         )?;
-        Ok(MemberState::Pending(reply_rx))
-    }
-
-    fn handle_schedule(
-        &self,
-        dag: DagSpec,
-        system: SystemSpec,
-        algorithm: String,
-        options: RequestOptions,
-        meta: LineMeta,
-        want_bytes: bool,
-    ) -> Reply {
-        let started = meta.arrival;
-        let m = &self.shared.metrics;
-        if self.is_shutting_down() {
-            return Reply::Typed(Response::ShuttingDown);
-        }
-
-        let (dag, sys) = match self.build_problem(dag, system) {
-            Ok(v) => v,
-            Err(resp) => return Reply::Typed(resp),
-        };
-        let Some(alg) = algorithms::by_name(&algorithm) else {
-            ServiceMetrics::bump(&m.errors);
-            return Reply::Typed(Response::error(format!(
-                "unknown algorithm `{algorithm}` (known: {})",
-                algorithms::known_names().join(", ")
-            )));
-        };
-
-        let inst = self.instance_for(dag, sys);
-        let ctx = JobCtx::for_options(&options, started);
-        let want_line = want_bytes && options.trace_ctx.is_none();
-        let state = match self
-            .memo_or_submit(&inst, &algorithm, alg, &options, None, None, ctx, want_line)
-        {
-            Ok(state) => state,
-            Err(resp) => return Reply::Typed(self.finalize_timing(resp, &options, meta, "none")),
-        };
-        self.finish_single(started, &algorithm, &options, meta, state, want_bytes)
-    }
-
-    /// Incrementally reschedule a cached problem: resolve `parent` through
-    /// the instance cache, apply the deltas, and answer exactly what a
-    /// `schedule` request for the patched problem would answer. For the
-    /// EFT family the worker gets a [`RepairCtx`] so it can replay the
-    /// parent's unaffected placements instead of recomputing them — the
-    /// response is bit-identical either way (the core repair contract).
-    fn handle_patch(
-        &self,
-        parent: &str,
-        algorithm: String,
-        deltas: &[Delta],
-        options: RequestOptions,
-        meta: LineMeta,
-        want_bytes: bool,
-    ) -> Reply {
-        let started = meta.arrival;
-        let m = &self.shared.metrics;
-        if self.is_shutting_down() {
-            return Reply::Typed(Response::ShuttingDown);
-        }
-
-        let parent_key = match u64::from_str_radix(parent, 16) {
-            Ok(k) if parent.len() == 16 => k,
-            _ => {
-                ServiceMetrics::bump(&m.errors);
-                return Reply::Typed(Response::error(format!(
-                    "unknown_parent: `{parent}` is not a 16-hex-digit problem fingerprint \
-                     (use the `problem` field of an earlier schedule response)"
-                )));
-            }
-        };
-        let Some(parent_inst) = self.shared.instances.lock().get(parent_key).cloned() else {
-            ServiceMetrics::bump(&m.errors);
-            return Reply::Typed(Response::error(format!(
-                "unknown_parent: no cached problem with fingerprint {parent} (never seen or \
-                 evicted); re-send the full problem as a `schedule` request to re-seed the cache"
-            )));
-        };
-        let Some(alg) = algorithms::by_name(&algorithm) else {
-            ServiceMetrics::bump(&m.errors);
-            return Reply::Typed(Response::error(format!(
-                "unknown algorithm `{algorithm}` (known: {})",
-                algorithms::known_names().join(", ")
-            )));
-        };
-
-        let (inst, dirty) = match parent_inst.apply_deltas(deltas) {
-            Ok(patched) => (Arc::new(patched.instance.into_owned()), patched.dirty),
-            Err(e) => {
-                ServiceMetrics::bump(&m.errors);
-                return Reply::Typed(Response::error(format!("invalid delta: {e}")));
-            }
-        };
-        ServiceMetrics::bump(&m.patches);
-        // Register the patched problem under its own content fingerprint
-        // so follow-up patches can chain off this one, exactly like a full
-        // request for the patched problem would have.
-        let evicted = self
-            .shared
-            .instances
-            .lock()
-            .insert(inst.fingerprint(), inst.clone());
-        self.shared.note_eviction(evicted);
-
-        // Repair wants the parent's schedule under the same algorithm and
-        // options; when it is no longer memoized (or the algorithm is not
-        // repair-capable) the worker simply computes from scratch. Traced
-        // requests also compute fresh: a replayed prefix would truncate
-        // the decision log the client asked for.
-        let repair = repairable(&algorithm)
-            .filter(|_| !options.trace)
-            .and_then(|scheduler| {
-                let parent_fp =
-                    request_fingerprint(parent_inst.dag(), parent_inst.sys(), &algorithm, &options);
-                let parent_sched = self
-                    .shared
-                    .cache
-                    .lock()
-                    .get(parent_fp)
-                    .map(|e| e.body.schedule.clone())?;
-                Some(RepairCtx {
-                    scheduler,
-                    dirty,
-                    parent_inst: parent_inst.clone(),
-                    parent_sched,
-                })
-            });
-
-        let ctx = JobCtx::for_options(&options, started);
-        let want_line = want_bytes && options.trace_ctx.is_none();
-        let state = match self.memo_or_submit(
-            &inst, &algorithm, alg, &options, None, repair, ctx, want_line,
-        ) {
-            Ok(state) => state,
-            Err(resp) => return Reply::Typed(self.finalize_timing(resp, &options, meta, "none")),
-        };
-        self.finish_single(started, &algorithm, &options, meta, state, want_bytes)
-    }
-
-    /// Single-request tail shared by `schedule` and `patch`: answer a memo
-    /// hit immediately — from the preserialized memo line when the caller
-    /// wants bytes and nothing per-request (timing) has to be injected —
-    /// otherwise wait for the worker under the request deadline.
-    fn finish_single(
-        &self,
-        started: Instant,
-        algorithm: &str,
-        options: &RequestOptions,
-        meta: LineMeta,
-        state: MemberState,
-        want_bytes: bool,
-    ) -> Reply {
-        let m = &self.shared.metrics;
-        let reply_rx = match state {
-            MemberState::Cached { body, line } => {
-                m.record_algorithm(algorithm, started.elapsed());
-                if want_bytes && options.trace_ctx.is_none() {
-                    if let Some(line) = line {
-                        // The memo line is byte-for-byte what serializing
-                        // `Response::schedule(*body)` would produce from
-                        // the identical memoized body. Zero serialization
-                        // on this path.
-                        return Reply::Bytes(line);
-                    }
-                }
-                let resp = Response::schedule(*body);
-                return Reply::Typed(self.finalize_timing(resp, options, meta, "memo"));
-            }
-            MemberState::Pending(rx) => rx,
-        };
-
-        let deadline = Duration::from_millis(
-            options
-                .deadline_ms
-                .unwrap_or(self.shared.config.default_deadline_ms),
-        );
-        let remaining = deadline.saturating_sub(started.elapsed());
-        let resp = match await_reply(&reply_rx, remaining) {
-            Ok(resp) => {
-                if matches!(resp, Response::Ok { .. }) {
-                    m.record_algorithm(algorithm, started.elapsed());
-                }
-                resp
-            }
-            Err(channel::RecvTimeoutError::Timeout) => {
-                ServiceMetrics::bump(&m.timeouts);
-                Response::Timeout {
-                    message: format!(
-                        "deadline of {} ms exceeded; the schedule keeps computing and will be cached",
-                        deadline.as_millis()
-                    ),
-                }
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                // Workers always reply, even on panic; reaching this means
-                // the pool is gone mid-request (shutdown race).
-                ServiceMetrics::bump(&m.errors);
-                Response::error("worker pool shut down before replying")
-            }
-        };
-        Reply::Typed(self.finalize_timing(resp, options, meta, "none"))
-    }
-
-    fn handle_portfolio(
-        &self,
-        dag: DagSpec,
-        system: SystemSpec,
-        algorithm_names: Vec<String>,
-        options: RequestOptions,
-        meta: LineMeta,
-    ) -> Response {
-        let started = meta.arrival;
-        let m = &self.shared.metrics;
-        if self.is_shutting_down() {
-            return Response::ShuttingDown;
-        }
-
-        let names = if algorithm_names.is_empty() {
-            algorithms::known_names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect()
-        } else {
-            algorithm_names
-        };
-        let mut members = Vec::with_capacity(names.len());
-        for name in &names {
-            let Some(alg) = algorithms::by_name(name) else {
-                ServiceMetrics::bump(&m.errors);
-                return Response::error(format!(
-                    "unknown algorithm `{name}` (known: {})",
-                    algorithms::known_names().join(", ")
-                ));
-            };
-            members.push(alg);
-        }
-
-        let (dag, sys) = match self.build_problem(dag, system) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let inst = self.instance_for(dag, sys);
-
-        let deadline = Duration::from_millis(
-            options
-                .deadline_ms
-                .unwrap_or(self.shared.config.default_deadline_ms),
-        );
-        let deadline_at = started + deadline;
-
-        // Fan the members out across the worker pool: every one is an
-        // ordinary memoized job sharing the same instance `Arc`, so a
-        // later single-algorithm request for any member hits the cache.
-        // Submission blocks (up to the deadline) when the burst exceeds
-        // the queue capacity — workers drain it while we wait.
-        let mut states = Vec::with_capacity(members.len());
-        for (name, alg) in names.iter().zip(members) {
-            match self.memo_or_submit(
-                &inst,
-                name,
-                alg,
-                &options,
-                Some(deadline_at),
-                None,
-                None,
-                false,
-            ) {
-                Ok(state) => states.push(state),
-                Err(resp) => return self.finalize_timing(resp, &options, meta, "none"),
-            }
-        }
-        let mut bodies: Vec<ScheduleBody> = Vec::with_capacity(states.len());
-        for (name, state) in names.iter().zip(states) {
-            let body = match state {
-                MemberState::Cached { body, .. } => *body,
-                MemberState::Pending(rx) => {
-                    let remaining = deadline.saturating_sub(started.elapsed());
-                    match await_reply(&rx, remaining) {
-                        Ok(Response::Ok {
-                            schedule: Some(body),
-                            ..
-                        }) => body,
-                        Ok(other) => return other,
-                        Err(channel::RecvTimeoutError::Timeout) => {
-                            ServiceMetrics::bump(&m.timeouts);
-                            return Response::Timeout {
-                                message: format!(
-                                    "deadline of {} ms exceeded waiting for `{name}`; members keep computing and will be cached",
-                                    deadline.as_millis()
-                                ),
-                            };
-                        }
-                        Err(channel::RecvTimeoutError::Disconnected) => {
-                            ServiceMetrics::bump(&m.errors);
-                            return Response::error("worker pool shut down before replying");
-                        }
-                    }
-                }
-            };
-            bodies.push(body);
-        }
-
-        let best = bodies
-            .iter()
-            .enumerate()
-            .min_by(|(ia, a), (ib, b)| a.makespan.total_cmp(&b.makespan).then_with(|| ia.cmp(ib)))
-            .map(|(i, _)| i)
-            .expect("at least one member");
-        let entries = bodies
-            .iter()
-            .map(|b| PortfolioEntryBody {
-                algorithm: b.algorithm.clone(),
-                makespan: b.makespan,
-                cached: b.cached,
-            })
-            .collect();
-        let resp = Response::portfolio(PortfolioBody {
-            entries,
-            best,
-            schedule: bodies.swap_remove(best),
-        });
-        self.finalize_timing(resp, &options, meta, "portfolio")
-    }
-
-    /// Batched scheduling: one request line carrying N `(dag, system)`
-    /// instances, answered with N schedule bodies **in request order**.
-    /// Every instance is an ordinary memoized job — the reply memo is
-    /// consulted per instance, repeats *within* the batch are served
-    /// single-flight from the first occurrence, and the whole burst is
-    /// submitted before any reply is awaited so the worker pool overlaps
-    /// the members (submission blocks up to the deadline when the burst
-    /// exceeds the queue capacity, exactly like a portfolio).
-    fn handle_many(
-        &self,
-        instances: Vec<InstanceSpec>,
-        algorithm: String,
-        options: RequestOptions,
-        meta: LineMeta,
-    ) -> Response {
-        let started = meta.arrival;
-        let m = &self.shared.metrics;
-        if self.is_shutting_down() {
-            return Response::ShuttingDown;
-        }
-        if instances.is_empty() {
-            ServiceMetrics::bump(&m.errors);
-            return Response::error("schedule_many requires at least one instance");
-        }
-        if algorithms::by_name(&algorithm).is_none() {
-            ServiceMetrics::bump(&m.errors);
-            return Response::error(format!(
-                "unknown algorithm `{algorithm}` (known: {})",
-                algorithms::known_names().join(", ")
-            ));
-        }
-
-        let deadline = Duration::from_millis(
-            options
-                .deadline_ms
-                .unwrap_or(self.shared.config.default_deadline_ms),
-        );
-        let deadline_at = started + deadline;
-
-        /// One batch member after submission: in flight (or memoized), or
-        /// a duplicate of an earlier member answered from its entry.
-        enum Member {
-            State(MemberState),
-            DupOf(usize),
-        }
-        let mut seen: Vec<(u64, usize)> = Vec::with_capacity(instances.len());
-        let mut members = Vec::with_capacity(instances.len());
-        for (i, spec) in instances.into_iter().enumerate() {
-            let (dag, sys) = match self.build_problem(spec.dag, spec.system) {
-                Ok(v) => v,
-                Err(resp) => return self.finalize_timing(resp, &options, meta, "none"),
-            };
-            let fp = request_fingerprint(&dag, &sys, &algorithm, &options);
-            if let Some(&(_, first)) = seen.iter().find(|(k, _)| *k == fp) {
-                members.push(Member::DupOf(first));
-                continue;
-            }
-            seen.push((fp, i));
-            let inst = self.instance_for(dag, sys);
-            let alg = algorithms::by_name(&algorithm).expect("validated above");
-            match self.memo_or_submit(
-                &inst,
-                &algorithm,
-                alg,
-                &options,
-                Some(deadline_at),
-                None,
-                None,
-                false,
-            ) {
-                Ok(state) => members.push(Member::State(state)),
-                Err(resp) => return self.finalize_timing(resp, &options, meta, "none"),
-            }
-        }
-
-        let mut cached = 0usize;
-        let mut entries: Vec<ScheduleBody> = Vec::with_capacity(members.len());
-        for (i, member) in members.into_iter().enumerate() {
-            let body = match member {
-                Member::DupOf(first) => {
-                    let mut body = entries[first].clone();
-                    body.cached = true;
-                    cached += 1;
-                    body
-                }
-                Member::State(MemberState::Cached { body, .. }) => {
-                    cached += 1;
-                    *body
-                }
-                Member::State(MemberState::Pending(rx)) => {
-                    let remaining = deadline.saturating_sub(started.elapsed());
-                    match await_reply(&rx, remaining) {
-                        Ok(Response::Ok {
-                            schedule: Some(body),
-                            ..
-                        }) => body,
-                        Ok(other) => return other,
-                        Err(channel::RecvTimeoutError::Timeout) => {
-                            ServiceMetrics::bump(&m.timeouts);
-                            return Response::Timeout {
-                                message: format!(
-                                    "deadline of {} ms exceeded waiting for batch entry {i}; members keep computing and will be cached",
-                                    deadline.as_millis()
-                                ),
-                            };
-                        }
-                        Err(channel::RecvTimeoutError::Disconnected) => {
-                            ServiceMetrics::bump(&m.errors);
-                            return Response::error("worker pool shut down before replying");
-                        }
-                    }
-                }
-            };
-            entries.push(body);
-        }
-        m.record_algorithm(&algorithm, started.elapsed());
-        let computed = entries.len() - cached;
-        let resp = Response::many(ScheduleManyBody {
-            entries,
-            cached,
-            computed,
-        });
-        self.finalize_timing(resp, &options, meta, "many")
+        Ok(State::Pending(reply_rx))
     }
 }
 
-/// Per-line request metadata stamped by the transport-facing entry
-/// point: when the line arrived and how long it took to parse. `handle`
-/// (the parsed-request entry point) uses a zero-parse stamp.
+/// Per-line request metadata stamped at the entry point: when the line
+/// arrived and how long it took to parse.
 #[derive(Clone, Copy)]
 struct LineMeta {
     arrival: Instant,
     parse_us: u64,
 }
 
-/// A portfolio member after the memo lookup: already answered from the
-/// cache, or in flight on the worker pool.
-enum MemberState {
-    /// Answered from the reply memo: the typed body (for batch
-    /// composition and traced requests) plus — only when the caller asked
-    /// for it — the preserialized memo line (for the bytes path).
-    Cached {
+/// A validated scheduling request: the members to compute and how their
+/// answers combine into one reply.
+struct Plan {
+    members: Vec<Member>,
+    reduce: Reduce,
+    options: RequestOptions,
+}
+
+/// One unit of scheduling work: a shared problem instance, the algorithm
+/// to run on it, and — for a `patch` whose parent schedule is memoized
+/// under a repair-capable algorithm — the context to repair instead of
+/// recomputing.
+struct Member {
+    inst: Arc<ProblemInstance<'static>>,
+    algorithm: String,
+    alg: Arc<dyn Scheduler + Send + Sync>,
+    repair: Option<RepairCtx>,
+}
+
+impl Member {
+    fn new(
+        inst: Arc<ProblemInstance<'static>>,
+        algorithm: String,
+        alg: Arc<dyn Scheduler + Send + Sync>,
+    ) -> Member {
+        let repair = None;
+        Member {
+            inst,
+            algorithm,
+            alg,
+            repair,
+        }
+    }
+}
+
+/// How a plan's answers combine into one reply.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reduce {
+    /// `schedule` and `patch`: the one member's answer is the reply.
+    Single,
+    /// `schedule_many`: every answer, in request order.
+    Ordered,
+    /// `portfolio`: the per-member makespan table plus the winner — the
+    /// minimum makespan under total order, ties to the earliest member.
+    MinByMakespan,
+}
+
+impl Reduce {
+    /// The `timeout` reply when member `i`, running `algorithm`, misses
+    /// the deadline.
+    fn timeout(self, deadline: Duration, i: usize, algorithm: &str) -> Response {
+        let ms = deadline.as_millis();
+        let message = match self {
+            Reduce::Single => format!(
+                "deadline of {ms} ms exceeded; the schedule keeps computing and will be cached"
+            ),
+            Reduce::Ordered => format!(
+                "deadline of {ms} ms exceeded waiting for batch entry {i}; members keep computing and will be cached"
+            ),
+            Reduce::MinByMakespan => format!(
+                "deadline of {ms} ms exceeded waiting for `{algorithm}`; members keep computing and will be cached"
+            ),
+        };
+        Response::Timeout { message }
+    }
+
+    /// Combine the answer bodies — one per member, in member order —
+    /// into the reply, plus the `timing.cache` label of a traced reply:
+    /// `None` for a single request, whose reply reports its member's own
+    /// disposition.
+    fn reply(self, mut bodies: Vec<ScheduleBody>) -> (Response, Option<&'static str>) {
+        match self {
+            Reduce::Single => (Response::schedule(bodies.swap_remove(0)), None),
+            Reduce::Ordered => {
+                let cached = bodies.iter().filter(|b| b.cached).count();
+                let computed = bodies.len() - cached;
+                let body = ScheduleManyBody {
+                    entries: bodies,
+                    cached,
+                    computed,
+                };
+                (Response::many(body), Some("many"))
+            }
+            Reduce::MinByMakespan => {
+                // `min_by` keeps the first of equal minima: ties go to the
+                // earliest member.
+                let best = (0..bodies.len())
+                    .min_by(|&a, &b| bodies[a].makespan.total_cmp(&bodies[b].makespan))
+                    .expect("at least one member");
+                let entries = bodies
+                    .iter()
+                    .map(|b| PortfolioEntryBody {
+                        algorithm: b.algorithm.clone(),
+                        makespan: b.makespan,
+                        cached: b.cached,
+                    })
+                    .collect();
+                let schedule = bodies.swap_remove(best);
+                let body = PortfolioBody {
+                    entries,
+                    best,
+                    schedule,
+                };
+                (Response::portfolio(body), Some("portfolio"))
+            }
+        }
+    }
+}
+
+/// A member after the memo lookup.
+enum State {
+    /// Answered from the reply memo: the body plus — only when the caller
+    /// asked for it — the preserialized memo line.
+    Memo {
         /// Boxed so the in-flight variant stays small.
         body: Box<ScheduleBody>,
         line: Option<Arc<[u8]>>,
     },
+    /// In flight on the worker pool.
     Pending(Receiver<Response>),
+    /// A repeat of an earlier member of the same request, answered from
+    /// that member.
+    Repeat(usize),
 }
 
-/// One finished request, typed or preserialized. `Bytes` only ever
-/// carries a memo-hit-shaped `ok` line; everything that needs
-/// per-request mutation (timing injection, error text) stays `Typed`.
-// Transient return value consumed immediately by the dispatcher — never
-// stored or collected, so the Typed/Bytes size gap costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum Reply {
-    Typed(Response),
-    Bytes(Arc<[u8]>),
+/// Serve timing that carries nothing but a cache disposition.
+fn label(cache: &str) -> ServeTiming {
+    ServeTiming {
+        cache: cache.to_string(),
+        ..ServeTiming::default()
+    }
+}
+
+/// One finished request: the typed response, plus — for an untraced
+/// single memo hit on the bytes path — the memo's preserialized line,
+/// which is exactly `resp` serialized.
+struct Reply {
+    resp: Response,
+    line: Option<Arc<[u8]>>,
 }
 
 impl Reply {
+    fn typed(resp: Response) -> Reply {
+        Reply { resp, line: None }
+    }
+
     /// The outcome class for SLO accounting; `None` for responses that
     /// are not accounted (`shutting_down`).
     fn status(&self) -> Option<RequestStatus> {
-        match self {
-            Reply::Bytes(_) => Some(RequestStatus::Success),
-            Reply::Typed(resp) => match resp {
-                Response::Ok { .. } => Some(RequestStatus::Success),
-                Response::Busy { .. } | Response::Shed { .. } => Some(RequestStatus::Shed),
-                Response::Timeout { .. } => Some(RequestStatus::Timeout),
-                Response::Error { .. } => Some(RequestStatus::Error),
-                Response::ShuttingDown => None,
-            },
+        match &self.resp {
+            Response::Ok { .. } => Some(RequestStatus::Success),
+            Response::Busy { .. } | Response::Shed { .. } => Some(RequestStatus::Shed),
+            Response::Timeout { .. } => Some(RequestStatus::Timeout),
+            Response::Error { .. } => Some(RequestStatus::Error),
+            Response::ShuttingDown => None,
         }
     }
 
-    /// The typed response, deserializing a preserialized line if one got
-    /// this far (the typed entry points never request bytes, so this
-    /// branch is defensive).
-    fn into_response(self) -> Response {
-        match self {
-            Reply::Typed(resp) => resp,
-            Reply::Bytes(bytes) => {
-                let text = std::str::from_utf8(&bytes).expect("memo lines are UTF-8 JSON");
-                serde_json::from_str(text).expect("memo lines are serialized Responses")
-            }
-        }
-    }
-
-    /// The reply as wire bytes (no trailing newline), serializing typed
-    /// responses on the spot.
+    /// The reply as wire bytes (no trailing newline): the memo line when
+    /// there is one, else `resp` serialized on the spot.
     fn into_bytes(self) -> Arc<[u8]> {
-        match self {
-            Reply::Bytes(bytes) => bytes,
-            Reply::Typed(resp) => Arc::from(resp.to_line().into_bytes()),
-        }
+        self.line
+            .unwrap_or_else(|| Arc::from(self.resp.to_line().into_bytes()))
     }
 }
 
@@ -1386,6 +1232,26 @@ mod tests {
             panic!("follow-up: {follow:?}");
         };
         assert!(follow.cached);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn portfolio_answers_a_repeated_member_from_its_first_occurrence() {
+        let svc = Service::start(test_config());
+        let resp = svc.handle_line(&portfolio_request(6, &["HEFT", "CPOP", "HEFT"], "{}"));
+        let Response::Ok {
+            portfolio: Some(body),
+            ..
+        } = &resp
+        else {
+            panic!("unexpected response: {resp:?}");
+        };
+        let cached: Vec<bool> = body.entries.iter().map(|e| e.cached).collect();
+        assert_eq!(cached, [false, false, true]);
+        assert_eq!(body.entries[2].makespan, body.entries[0].makespan);
+        // The repeat was never submitted: two members, two computations.
+        let stats = svc.stats_body();
+        assert_eq!((stats.requests, stats.computed), (2, 2));
         svc.shutdown();
     }
 
@@ -2140,6 +2006,36 @@ mod tests {
         assert!(retry.cached);
         assert_eq!(retry.fingerprint, body.fingerprint);
         svc.shutdown();
+    }
+
+    #[test]
+    fn request_fingerprint_is_pinned() {
+        // The reply's `fingerprint` field is client-visible: clients and
+        // the gateway correlate replies by it across daemon restarts and
+        // releases. This value must never change by accident.
+        let line = small_request(
+            4,
+            "HEFT",
+            r#"{"simulate":true,"debug_sleep_ms":7,"trace":true,"deadline_ms":9,"jobs":2}"#,
+        );
+        let Ok(Request::Schedule {
+            dag,
+            system,
+            algorithm,
+            options,
+        }) = Request::parse(&line)
+        else {
+            panic!("fixture must parse as a schedule request");
+        };
+        let dag = dag.build().unwrap();
+        let sys = system.build(&dag).unwrap();
+        assert_eq!(
+            format!(
+                "{:016x}",
+                request_fingerprint(&dag, &sys, &algorithm, &options)
+            ),
+            "44e28c2b21b3f478"
+        );
     }
 
     #[test]

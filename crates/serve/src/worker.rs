@@ -68,7 +68,7 @@ impl JobCtx {
 pub(crate) struct Job {
     pub(crate) inst: Arc<ProblemInstance<'static>>,
     pub(crate) algorithm: String,
-    pub(crate) alg: Box<dyn Scheduler + Send + Sync>,
+    pub(crate) alg: Arc<dyn Scheduler + Send + Sync>,
     pub(crate) options: RequestOptions,
     pub(crate) fingerprint: u64,
     pub(crate) repair: Option<RepairCtx>,

@@ -396,3 +396,32 @@ fn shard_failure_degrades_gracefully() {
 
     topo.shutdown();
 }
+
+/// Both tiers parse a `patch` parent key with one parser: exactly 16
+/// ASCII hex digits. A malformed key — a sign prefix included — gets the
+/// same `unknown_parent` message whether the client talks to a shard or
+/// to the gateway.
+#[test]
+fn malformed_parent_keys_get_the_same_answer_on_both_tiers() {
+    let shard = hetsched_serve::Service::start(shard_config());
+    let router = hetsched_gateway::Router::new(GatewayConfig {
+        backends: vec!["127.0.0.1:1".to_string()],
+        ..Default::default()
+    })
+    .unwrap();
+    for parent in ["+123456789abcdef", "nope", "abc", "0123456789abcdef0"] {
+        let line = format!(
+            r#"{{"op":"patch","parent":"{parent}","algorithm":"HEFT","deltas":[{{"kind":"task_weight","task":0,"weight":2.0}}]}}"#
+        );
+        let message = |reply: &str| {
+            let v: serde_json::Value = serde_json::from_str(reply).unwrap();
+            assert_eq!(v["status"].as_str(), Some("error"), "{reply}");
+            v["message"].as_str().unwrap().to_string()
+        };
+        let served = message(&shard.handle_line(&line).to_line());
+        let routed = message(&router.handle_line(&line, Instant::now()));
+        assert!(served.starts_with("unknown_parent"), "{served}");
+        assert_eq!(served, routed, "parent `{parent}`");
+    }
+    shard.shutdown();
+}
