@@ -713,9 +713,6 @@ pub fn gateway(flags: &Flags) -> Result<String, CliError> {
             "addr",
             "backends",
             "inflight",
-            "queue",
-            "max-pending",
-            "threads",
             "deadline-ms",
             "connect-timeout-ms",
         ],
@@ -733,9 +730,6 @@ pub fn gateway(flags: &Flags) -> Result<String, CliError> {
     let config = hetsched_gateway::GatewayConfig {
         backends,
         inflight_per_shard: flags.get_or("inflight", d.inflight_per_shard)?,
-        queue_capacity: flags.get_or("queue", d.queue_capacity)?,
-        max_pending_per_conn: flags.get_or("max-pending", d.max_pending_per_conn)?,
-        router_threads: flags.get_or("threads", d.router_threads)?,
         default_deadline_ms: flags.get_or("deadline-ms", d.default_deadline_ms)?,
         connect_timeout_ms: flags.get_or("connect-timeout-ms", d.connect_timeout_ms)?,
         propagate_shutdown: d.propagate_shutdown,

@@ -97,9 +97,10 @@ commands:
                gateway; clients talk to the gateway address)
   gateway     run the scale-out front door against running shard daemons:
               fingerprint routing, single-flight dedup, admission control
+              (a per-shard inflight budget; one thread per client
+              connection, up to 256 connections)
               --backends HOST:PORT,HOST:PORT [--addr HOST:PORT]
-              [--inflight N] [--queue N] [--max-pending N] [--threads N]
-              [--deadline-ms MS] [--connect-timeout-ms MS]
+              [--inflight N] [--deadline-ms MS] [--connect-timeout-ms MS]
   request     send one request to a running daemon and print the reply
               --addr HOST:PORT
               [--op schedule|portfolio|patch|hello|stats|metrics|journal|

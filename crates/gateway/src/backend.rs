@@ -3,12 +3,14 @@
 //! `hetsched-serve` daemon, gateway-side inflight accounting, and health
 //! state with timed re-probing.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+
+use hetsched_serve::transport::LineReader;
 
 use crate::metrics::ShardSnapshot;
 
@@ -165,12 +167,14 @@ impl Backend {
     }
 }
 
-/// One persistent NDJSON connection to a shard. Keeps its own read
-/// buffer so bytes over-read past a reply line are never lost between
+/// One persistent NDJSON connection to a shard. Keeps its own line
+/// reader so bytes over-read past a reply line are never lost between
 /// round trips.
 struct Conn {
     stream: TcpStream,
-    buf: Vec<u8>,
+    /// Uncapped: a large `schedule_many` reply is legitimate, and the
+    /// deadline already bounds the read.
+    reader: LineReader,
 }
 
 impl Conn {
@@ -183,7 +187,7 @@ impl Conn {
         stream.set_nodelay(true)?;
         Ok(Conn {
             stream,
-            buf: Vec::new(),
+            reader: LineReader::new(usize::MAX),
         })
     }
 
@@ -212,13 +216,7 @@ impl Conn {
         self.stream.write_all(line.as_bytes())?;
         self.stream.write_all(b"\n")?;
         self.stream.flush()?;
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line_bytes: Vec<u8> = self.buf.drain(..=pos).collect();
-                let reply = String::from_utf8_lossy(&line_bytes).trim().to_string();
-                return Ok(reply);
-            }
             let remaining = deadline_at.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(io::Error::new(
@@ -228,16 +226,12 @@ impl Conn {
             }
             self.stream
                 .set_read_timeout(Some(remaining.min(READ_SLICE)))?;
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "shard closed the connection",
-                    ))
+            match self.reader.read_line(&mut self.stream) {
+                Ok(Some((reply, _))) => {
+                    return Ok(String::from_utf8_lossy(reply).trim().to_string())
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(None) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
@@ -247,6 +241,7 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     #[test]
     fn inflight_budget_reserve_and_release() {

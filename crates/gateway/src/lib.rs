@@ -15,18 +15,21 @@
 //!   matching one is already in flight do not reach a shard at all: they
 //!   wait for the leader's reply and receive it byte-for-byte.
 //! - **Admission control.** Beyond the shards' own `busy` backpressure,
-//!   the gateway enforces a per-shard inflight budget, sheds when a
-//!   connection's pending queue exceeds its depth bound, and propagates
+//!   the gateway enforces a per-shard inflight budget and propagates
 //!   per-request deadlines — a request whose deadline has already passed
 //!   is shed before it can occupy a shard slot. Shed requests get a
 //!   distinct `shed` status, never an unbounded queue.
+//!
+//! The gateway has no transport of its own: [`GatewayServer`] is
+//! `hetsched-serve`'s thread-per-connection [`TcpServer`] answering lines
+//! with a [`Router`], so both tiers share one connection loop, one line
+//! reader, the request-line cap and the connection cap.
 //!
 //! | module         | contents |
 //! |----------------|----------|
 //! | [`backend`]    | shard connection pool, `hello` handshake, health state |
 //! | [`singleflight`] | in-flight request coalescing table |
 //! | [`router`]     | parse → fingerprint → admit → forward → reply |
-//! | [`frontdoor`]  | non-blocking accept/readiness loop, worker dispatch |
 //! | [`metrics`]    | gateway counters, latency histogram, Prometheus text |
 //! | [`shards`]     | in-process shard set (for `serve --shards N` and tests) |
 
@@ -34,15 +37,48 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod frontdoor;
 pub mod metrics;
 pub mod router;
 pub mod shards;
 pub mod singleflight;
 
-pub use frontdoor::GatewayServer;
+use std::io;
+use std::sync::Arc;
+
+use hetsched_serve::TcpServer;
+
 pub use router::Router;
 pub use shards::LocalShards;
+
+/// The gateway's TCP server: serve's [`TcpServer`] over a [`Router`].
+pub struct GatewayServer(TcpServer<Router>);
+
+impl GatewayServer {
+    /// Bind `addr` and construct the router for `config.backends`. Shard
+    /// connections are opened lazily, so the shards may come up after the
+    /// gateway.
+    pub fn bind(addr: &str, config: GatewayConfig) -> io::Result<GatewayServer> {
+        TcpServer::with_handler(addr, Router::new(config)?).map(GatewayServer)
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+        self.0.local_addr()
+    }
+
+    /// Shared handle to the routing core (metrics, programmatic
+    /// shutdown).
+    pub fn router(&self) -> Arc<Router> {
+        self.0.handler()
+    }
+
+    /// Serve until a `shutdown` request arrives (or
+    /// [`Router::begin_shutdown`] is called), then answer every buffered
+    /// line and join every connection before returning.
+    pub fn run(self) -> io::Result<()> {
+        self.0.run()
+    }
+}
 
 /// Gateway configuration.
 #[derive(Debug, Clone)]
@@ -55,14 +91,6 @@ pub struct GatewayConfig {
     /// Maximum requests in flight per shard; the budget admission bound.
     /// A request whose home shard is at its budget is shed, not queued.
     pub inflight_per_shard: usize,
-    /// Bounded router queue capacity (requests accepted but not yet
-    /// dispatched to a shard, across all connections).
-    pub queue_capacity: usize,
-    /// Maximum complete lines buffered per client connection; lines over
-    /// this depth are shed immediately (in reply order).
-    pub max_pending_per_conn: usize,
-    /// Router worker threads forwarding requests to shards.
-    pub router_threads: usize,
     /// Deadline applied when a request carries no `deadline_ms`.
     pub default_deadline_ms: u64,
     /// Timeout for connecting to (and handshaking with) a shard.
@@ -77,9 +105,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             backends: Vec::new(),
             inflight_per_shard: 16,
-            queue_capacity: 64,
-            max_pending_per_conn: 32,
-            router_threads: 8,
             default_deadline_ms: 30_000,
             connect_timeout_ms: 1_000,
             propagate_shutdown: true,

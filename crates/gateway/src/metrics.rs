@@ -56,6 +56,11 @@ pub struct GatewayMetrics {
     /// Remaining deadline slack when a request that carried an explicit
     /// deadline was answered `ok`.
     pub deadline_slack: LatencyHistogram,
+    /// Client connection threads that exited by panicking.
+    pub connection_panics: AtomicU64,
+    /// Client connections closed at accept (connection cap or failed
+    /// thread spawn).
+    pub connections_refused: AtomicU64,
 }
 
 /// Point-in-time view of one backend shard, for `stats` and `metrics`.
@@ -153,6 +158,16 @@ impl GatewayMetrics {
             "hetsched_gateway_wire_fallbacks_total",
             "Requests the wire scanner declined; routed via full parse.",
             read(&self.wire_fallbacks),
+        );
+        counter(
+            "hetsched_gateway_connection_panics_total",
+            "Client connection threads that exited by panicking.",
+            read(&self.connection_panics),
+        );
+        counter(
+            "hetsched_gateway_connections_refused_total",
+            "Client connections closed at accept (connection cap or failed thread spawn).",
+            read(&self.connections_refused),
         );
 
         let _ = writeln!(

@@ -36,6 +36,7 @@ use hetsched_serve::protocol::{
     bad_parent_message, parse_parent, GatewayTiming, HelloBody, Hop, InstanceSpec, JournalBody,
     Request, RequestOptions, Response, ScheduleBody, ScheduleManyBody, SpanRecord, TimingBody,
 };
+use hetsched_serve::transport::{LineHandler, LostConnection};
 use hetsched_serve::wire::{self, WireScan};
 
 use crate::backend::Backend;
@@ -163,7 +164,7 @@ impl Router {
         self.shutting.load(Ordering::SeqCst)
     }
 
-    /// Request graceful shutdown (front door stops accepting; in-flight
+    /// Request graceful shutdown (the server stops accepting; in-flight
     /// requests drain).
     pub fn begin_shutdown(&self) {
         self.shutting.store(true, Ordering::SeqCst);
@@ -257,13 +258,15 @@ impl Router {
         reply
     }
 
-    /// Identification payload for the `hello` op.
+    /// Identification payload for the `hello` op: the gateway's workers
+    /// are its shards, and its capacity is their summed inflight budget.
     fn hello_body(&self) -> HelloBody {
+        let shards = self.backends.len();
         HelloBody {
             service: "hetsched-gateway".to_string(),
             version: env!("CARGO_PKG_VERSION").to_string(),
-            workers: self.config.router_threads,
-            queue_capacity: self.config.queue_capacity,
+            workers: shards,
+            queue_capacity: self.config.inflight_per_shard * shards,
         }
     }
 
@@ -688,6 +691,23 @@ impl Router {
             }
         }
         Response::ShuttingDown.to_line()
+    }
+}
+
+impl LineHandler for Router {
+    fn answer_line(&self, line: &str, arrival: Instant, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.handle_line(line, arrival).as_bytes());
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        Router::is_shutting_down(self)
+    }
+
+    fn count_lost(&self, lost: LostConnection) {
+        bump(match lost {
+            LostConnection::Panicked => &self.metrics.connection_panics,
+            LostConnection::Refused => &self.metrics.connections_refused,
+        });
     }
 }
 

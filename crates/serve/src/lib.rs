@@ -16,7 +16,7 @@
 //! | module        | layer     | contents |
 //! |---------------|-----------|----------|
 //! | [`protocol`]  | shared    | request/response types, NDJSON framing |
-//! | [`transport`] | transport | TCP accept loop, connection reaper, stdin runner |
+//! | [`transport`] | transport | line reader, TCP server for both tiers (connection and line caps, reaper), stdin runner |
 //! | [`service`]   | routing   | validation, bounded queue admission, deadlines, memoization |
 //! | `worker`      | worker    | the pool threads: scheduling, panic isolation |
 //! | [`wire`]      | transport | raw-byte request scanner for the hot-line reply cache |

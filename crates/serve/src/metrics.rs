@@ -304,6 +304,9 @@ pub struct ServiceMetrics {
     /// Connection threads that exited by panicking (joined by the
     /// transport's reaper).
     pub connection_panics: AtomicU64,
+    /// Connections closed at accept: over the transport's connection cap,
+    /// or their thread failed to spawn.
+    pub connections_refused: AtomicU64,
     /// Requests that reused a cached shared `ProblemInstance`.
     pub instance_cache_hits: AtomicU64,
     /// Requests that had to build a fresh `ProblemInstance`.
@@ -449,6 +452,11 @@ impl ServiceMetrics {
             "hetsched_connection_panics_total",
             "Connection threads that exited by panicking.",
             Self::read(&self.connection_panics),
+        );
+        counter(
+            "hetsched_connections_refused_total",
+            "Connections closed at accept (connection cap or failed thread spawn).",
+            Self::read(&self.connections_refused),
         );
         counter(
             "hetsched_instance_cache_hits_total",

@@ -602,14 +602,15 @@ pub enum Response {
         #[serde(default, skip_serializing_if = "Option::is_none")]
         timing: Option<TimingBody>,
     },
-    /// The bounded request queue is full; retry later.
+    /// The bounded request queue is full, or the server is at its
+    /// connection cap; retry later.
     Busy {
         /// Human-readable detail.
         message: String,
     },
     /// Load shed: the request was refused by admission control before it
-    /// occupied a shard slot (gateway queue over depth, per-shard inflight
-    /// budget exhausted, or the deadline already passed on arrival).
+    /// occupied a shard slot (per-shard inflight budget exhausted, or the
+    /// deadline already passed on arrival).
     /// Distinct from `busy`, which means a shard's own bounded queue was
     /// full: `shed` is the front door turning work away early.
     Shed {

@@ -253,7 +253,12 @@ impl Service {
     /// preserialized where the memo allows, serialized on the spot
     /// otherwise, and a stable reply is written through to the wire cache.
     pub fn handle_line_bytes(&self, line: &str) -> Arc<[u8]> {
-        let arrival = Instant::now();
+        self.handle_line_bytes_at(line, Instant::now())
+    }
+
+    /// [`Service::handle_line_bytes`] for a line that arrived at
+    /// `arrival`: the request's deadline counts from there.
+    pub(crate) fn handle_line_bytes_at(&self, line: &str, arrival: Instant) -> Arc<[u8]> {
         let store = match self.wire_lookup(line, arrival) {
             Ok(hit) => return hit,
             Err(store) => store,

@@ -1,43 +1,227 @@
-//! Transport layer: the TCP accept loop and the stdin runner.
+//! Transport layer: NDJSON line framing, the TCP accept loop, and the
+//! stdin runner.
 //!
-//! Both transports speak the same NDJSON protocol and share one
-//! [`Service`]. The TCP listener runs non-blocking and polls the shutdown
-//! flag between accepts; each connection gets its own thread with a short
-//! read timeout so it also notices shutdown promptly. A `shutdown` request
-//! from any client therefore winds the whole daemon down: accept loop
-//! exits, connection threads finish their buffered lines and join, and the
-//! worker pool drains.
+//! One TCP server serves both tiers: [`TcpServer`] is generic over a
+//! [`LineHandler`], implemented by [`Service`] (a shard) and by the
+//! gateway's router. The listener runs non-blocking and polls the
+//! shutdown flag between accepts; each connection gets its own thread
+//! with a short read timeout so it also notices shutdown promptly. A
+//! `shutdown` request from any client therefore winds the whole server
+//! down: accept loop exits, connection threads answer their buffered
+//! lines and join, and the handler drains.
+//!
+//! Every NDJSON read loop — server connections here, the gateway's shard
+//! connections — frames lines with one [`LineReader`].
 
 use std::io::{self, BufRead, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::metrics::ServiceMetrics;
+use crate::protocol::Response;
 use crate::service::{ServeConfig, Service};
 
-/// How often idle loops poll the shutdown flag.
+/// How often the accept loop polls the shutdown flag while idle.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Read timeout on connection sockets; bounds shutdown latency per
 /// connection.
 const READ_TIMEOUT: Duration = Duration::from_millis(200);
+/// Bytes asked for per read.
+const CHUNK: usize = 16 * 1024;
+/// Longest request line (newline excluded) a client connection may send.
+/// A connection that goes over it gets one `error` line and is closed.
+const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
+/// Live connections a server keeps, counted after reaping finished ones.
+/// A connection past the cap gets one `busy` line and is closed.
+const MAX_CONNECTIONS: usize = 256;
 
-/// A TCP daemon bound to an address, ready to [`run`](TcpServer::run).
-pub struct TcpServer {
+/// NDJSON framing over any [`Read`]: buffers bytes, hands out complete
+/// lines, and keeps over-read bytes for the next line.
+///
+/// Linear in the bytes read: each read searches only the bytes it
+/// brought for the newline, and a partial line moves to the front of the
+/// buffer at most once.
+#[derive(Debug)]
+pub struct LineReader {
+    buf: Vec<u8>,
+    /// Start of the first line not yet handed out.
+    start: usize,
+    /// `buf[start..scanned]` holds no newline.
+    scanned: usize,
+    /// Longest line accepted, newline excluded.
+    limit: usize,
+    /// When the latest read returned: the arrival of every line it
+    /// completed.
+    arrival: Instant,
+}
+
+impl LineReader {
+    /// A reader that refuses lines longer than `limit` bytes.
+    pub fn new(limit: usize) -> LineReader {
+        LineReader {
+            buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+            limit,
+            arrival: Instant::now(),
+        }
+    }
+
+    /// The next line (without its `\n`) and the instant of the read that
+    /// completed it. A line already buffered comes back without reading;
+    /// otherwise this reads `r` once, up to 16 KiB.
+    ///
+    /// `Ok(None)` means that read completed no line yet: call again.
+    ///
+    /// # Errors
+    /// `UnexpectedEof` once the peer has closed, `InvalidData` once the
+    /// current line is longer than the limit, and whatever the read
+    /// itself fails with — a socket read timeout shows as `WouldBlock`
+    /// or `TimedOut`, and the reader keeps its state for the next call.
+    pub fn read_line(&mut self, r: &mut impl Read) -> io::Result<Option<(&[u8], Instant)>> {
+        if let Some(line) = self.scan()? {
+            return Ok(Some((&self.buf[line], self.arrival)));
+        }
+        self.fill(r)?;
+        Ok(self.scan()?.map(|line| (&self.buf[line], self.arrival)))
+    }
+
+    /// The next line already buffered, as [`LineReader::read_line`]
+    /// returns it, without reading.
+    ///
+    /// # Errors
+    /// `InvalidData` if the buffered line is longer than the limit.
+    fn buffered_line(&mut self) -> io::Result<Option<(&[u8], Instant)>> {
+        Ok(self.scan()?.map(|line| (&self.buf[line], self.arrival)))
+    }
+
+    /// Search the bytes not searched before for the next newline.
+    fn scan(&mut self) -> io::Result<Option<Range<usize>>> {
+        let found = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+        let end = found.map_or(self.buf.len(), |i| self.scanned + i);
+        if end - self.start > self.limit {
+            return Err(io::Error::new(
+                ErrorKind::InvalidData,
+                format!("request line over {} bytes", self.limit),
+            ));
+        }
+        if found.is_none() {
+            self.scanned = end;
+            return Ok(None);
+        }
+        let line = self.start..end;
+        self.start = end + 1;
+        self.scanned = self.start;
+        Ok(Some(line))
+    }
+
+    /// One read into the buffer, after moving the partial line (if any)
+    /// to its front.
+    fn fill(&mut self, r: &mut impl Read) -> io::Result<()> {
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+        }
+        let len = self.buf.len();
+        self.buf.resize(len + CHUNK, 0);
+        let read = r.read(&mut self.buf[len..]);
+        self.buf.truncate(len + read.as_ref().map_or(0, |&n| n));
+        match read {
+            Ok(0) => Err(io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "peer closed the connection",
+            )),
+            Ok(_) => {
+                self.arrival = Instant::now();
+                Ok(())
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// A connection the server accepted but did not serve to the end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LostConnection {
+    /// Its thread panicked; the reaper joined it.
+    Panicked,
+    /// Closed at accept: over the connection cap (256), or its thread failed
+    /// to spawn.
+    Refused,
+}
+
+/// What [`TcpServer`] needs from the thing that answers request lines.
+pub trait LineHandler: Send + Sync + 'static {
+    /// Append the reply to one trimmed, non-empty request line (no
+    /// trailing newline) to `out`. `arrival` is the instant the read
+    /// that completed the line returned; deadlines count from it.
+    fn answer_line(&self, line: &str, arrival: Instant, out: &mut Vec<u8>);
+
+    /// Whether graceful shutdown has begun.
+    fn is_shutting_down(&self) -> bool;
+
+    /// Called once the server has stopped serving connections.
+    fn drain(&self) {}
+
+    /// Count a connection the server lost.
+    fn count_lost(&self, lost: LostConnection);
+}
+
+impl LineHandler for Service {
+    fn answer_line(&self, line: &str, arrival: Instant, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.handle_line_bytes_at(line, arrival));
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        Service::is_shutting_down(self)
+    }
+
+    fn drain(&self) {
+        self.shutdown();
+    }
+
+    fn count_lost(&self, lost: LostConnection) {
+        let m = self.metrics();
+        ServiceMetrics::bump(match lost {
+            LostConnection::Panicked => &m.connection_panics,
+            LostConnection::Refused => &m.connections_refused,
+        });
+    }
+}
+
+/// A TCP server bound to an address, ready to [`run`](TcpServer::run).
+pub struct TcpServer<H: LineHandler = Service> {
     listener: TcpListener,
-    service: Arc<Service>,
+    handler: Arc<H>,
 }
 
 impl TcpServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
     /// the worker pool.
     pub fn bind(addr: &str, config: ServeConfig) -> io::Result<TcpServer> {
+        TcpServer::with_handler(addr, Service::start(config))
+    }
+
+    /// Shared handle to the underlying service (stats, programmatic
+    /// shutdown).
+    pub fn service(&self) -> Arc<Service> {
+        self.handler()
+    }
+}
+
+impl<H: LineHandler> TcpServer<H> {
+    /// Bind `addr` and answer its connections' lines with `handler`.
+    pub fn with_handler(addr: &str, handler: H) -> io::Result<TcpServer<H>> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(TcpServer {
             listener,
-            service: Arc::new(Service::start(config)),
+            handler: Arc::new(handler),
         })
     }
 
@@ -46,132 +230,131 @@ impl TcpServer {
         self.listener.local_addr()
     }
 
-    /// Shared handle to the underlying service (stats, programmatic
-    /// shutdown).
-    pub fn service(&self) -> Arc<Service> {
-        self.service.clone()
+    /// Shared handle to the line handler.
+    pub fn handler(&self) -> Arc<H> {
+        self.handler.clone()
     }
 
-    /// Accept and serve connections until a `shutdown` request arrives (or
-    /// [`Service::begin_shutdown`] is called on the shared handle), then
-    /// drain: join every connection thread and the worker pool before
+    /// Accept and serve connections until the handler reports shutdown,
+    /// then join every connection thread and drain the handler before
     /// returning.
     pub fn run(self) -> io::Result<()> {
+        let handler = &*self.handler;
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        loop {
-            if self.service.is_shutting_down() {
-                break;
-            }
+        while !handler.is_shutting_down() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    let service = self.service.clone();
-                    let handle = std::thread::Builder::new()
+                    reap(&mut connections, handler, false);
+                    if connections.len() >= MAX_CONNECTIONS {
+                        refuse(stream);
+                        handler.count_lost(LostConnection::Refused);
+                        continue;
+                    }
+                    let shared = self.handler.clone();
+                    // A failed spawn drops the closure, and the stream
+                    // with it: that one connection closes.
+                    match std::thread::Builder::new()
                         .name("hetsched-conn".to_string())
-                        .spawn(move || serve_connection(stream, &service))
-                        .expect("spawning connection thread");
-                    connections.push(handle);
-                    reap_finished(&mut connections, self.service.metrics());
+                        .spawn(move || serve_connection(stream, &*shared))
+                    {
+                        Ok(thread) => connections.push(thread),
+                        Err(_) => handler.count_lost(LostConnection::Refused),
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(POLL_INTERVAL);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => {
-                    self.service.shutdown();
+                    handler.drain();
                     return Err(e);
                 }
             }
         }
-        join_all(connections, self.service.metrics());
-        self.service.shutdown();
+        reap(&mut connections, handler, true);
+        handler.drain();
         Ok(())
     }
 }
 
-/// Join every finished connection thread, keeping the live ones. A bare
-/// `retain(|h| !h.is_finished())` would drop finished handles without
-/// joining them, silently discarding any panic they died with; joining
-/// surfaces the panic and counts it.
-fn reap_finished(connections: &mut Vec<JoinHandle<()>>, metrics: &ServiceMetrics) {
-    let mut i = 0;
-    while i < connections.len() {
-        if connections[i].is_finished() {
-            let handle = connections.swap_remove(i);
-            if handle.join().is_err() {
-                ServiceMetrics::bump(&metrics.connection_panics);
-            }
-        } else {
-            i += 1;
+/// Answer a connection over [`MAX_CONNECTIONS`] with one `busy` line.
+/// The socket is fresh, so the short write cannot block.
+fn refuse(mut stream: TcpStream) {
+    let mut out = Response::Busy {
+        message: format!("connection limit of {MAX_CONNECTIONS} reached; retry later"),
+    }
+    .to_line()
+    .into_bytes();
+    let _ = write_line(&mut stream, &mut out);
+}
+
+/// Join the finished connection threads — every one if `all` — and keep
+/// the rest, counting panics. A bare `retain(|h| !h.is_finished())` would
+/// drop finished handles without joining them, silently discarding any
+/// panic they died with.
+fn reap(connections: &mut Vec<JoinHandle<()>>, handler: &impl LineHandler, all: bool) {
+    for thread in std::mem::take(connections) {
+        if !(all || thread.is_finished()) {
+            connections.push(thread);
+        } else if thread.join().is_err() {
+            handler.count_lost(LostConnection::Panicked);
         }
     }
 }
 
-/// Join every connection thread (finished or not), counting panics.
-fn join_all(connections: Vec<JoinHandle<()>>, metrics: &ServiceMetrics) {
-    for handle in connections {
-        if handle.join().is_err() {
-            ServiceMetrics::bump(&metrics.connection_panics);
-        }
-    }
-}
-
-/// Serve one TCP connection: buffer bytes, answer each complete line,
-/// leave when the peer hangs up or the service shuts down.
+/// Serve one TCP connection: answer each complete line in order, leave
+/// when the peer hangs up or the handler shuts down.
 ///
-/// The per-line path is allocation-free at steady state: lines are
-/// scanned **in place** inside the persistent read buffer (drained only
-/// after the reply is produced), replies arrive as shared `Arc` bytes
-/// from [`Service::handle_line_bytes`], and one reusable scratch buffer
-/// assembles `reply + '\n'` for a single `write_all`.
-fn serve_connection(stream: TcpStream, service: &Service) {
+/// Once shutdown begins the connection answers the lines it has already
+/// buffered and leaves — drain-then-exit applies to connections too.
+/// One reusable buffer assembles `reply + '\n'` for a single `write_all`.
+fn serve_connection(stream: TcpStream, handler: &impl LineHandler) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut stream = stream;
-    let mut pending: Vec<u8> = Vec::new();
+    let mut reader = LineReader::new(MAX_LINE_BYTES);
     let mut out: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
     loop {
-        // Answer every complete line already buffered, even mid-shutdown:
-        // drain-then-exit applies to connections too.
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let reply = {
-                let line = String::from_utf8_lossy(&pending[..pos]);
+        let shutting = handler.is_shutting_down();
+        let next = if shutting {
+            reader.buffered_line()
+        } else {
+            reader.read_line(&mut stream)
+        };
+        out.clear();
+        let last = match next {
+            Ok(Some((line, arrival))) => {
+                let line = String::from_utf8_lossy(line);
                 let line = line.trim();
                 if line.is_empty() {
-                    None
-                } else {
-                    Some(service.handle_line_bytes(line))
+                    continue;
                 }
-            };
-            pending.drain(..=pos);
-            if let Some(reply) = reply {
-                if write_reply(&mut stream, &mut out, &reply).is_err() {
-                    return;
-                }
+                handler.answer_line(line, arrival, &mut out);
+                false
             }
-        }
-        if service.is_shutting_down() {
+            Ok(None) if shutting => return,
+            Ok(None) => continue,
+            // Read timeout: loop around to re-check the shutdown flag.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            // Over the line cap: the rest of the stream cannot be framed.
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                let reply = Response::error(format!("bad request: {e}")).to_line();
+                out.extend_from_slice(reply.as_bytes());
+                true
+            }
+            Err(_) => return, // peer closed, or a broken socket
+        };
+        if write_line(&mut stream, &mut out).is_err() || last {
             return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Read timeout: loop around to re-check the shutdown flag.
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return,
         }
     }
 }
 
-/// Assemble `reply + '\n'` in the caller's reusable scratch buffer and
-/// write it in one call (one packet under `TCP_NODELAY`).
-fn write_reply(w: &mut impl Write, scratch: &mut Vec<u8>, reply: &[u8]) -> io::Result<()> {
-    scratch.clear();
-    scratch.extend_from_slice(reply);
-    scratch.push(b'\n');
-    w.write_all(scratch)?;
+/// Append `'\n'` to the assembled reply and write it in one call (one
+/// packet under `TCP_NODELAY`).
+fn write_line(w: &mut impl Write, out: &mut Vec<u8>) -> io::Result<()> {
+    out.push(b'\n');
+    w.write_all(out)?;
     w.flush()
 }
 
@@ -186,11 +369,13 @@ pub fn serve_lines(
     let mut out: Vec<u8> = Vec::new();
     for line in input.lines() {
         let line = line?;
-        if line.trim().is_empty() {
+        let line = line.trim();
+        if line.is_empty() {
             continue;
         }
-        let reply = service.handle_line_bytes(line.trim());
-        write_reply(&mut output, &mut out, &reply)?;
+        out.clear();
+        service.answer_line(line, Instant::now(), &mut out);
+        write_line(&mut output, &mut out)?;
         if service.is_shutting_down() {
             break;
         }
@@ -237,9 +422,10 @@ mod tests {
         }
         std::panic::set_hook(hook);
 
-        let metrics = ServiceMetrics::new();
+        let service = Service::start(test_config());
+        let metrics = service.metrics();
         let mut connections = vec![panicker, clean];
-        reap_finished(&mut connections, &metrics);
+        reap(&mut connections, &service, false);
         assert!(connections.is_empty(), "finished handles must be joined");
         assert_eq!(ServiceMetrics::read(&metrics.connection_panics), 1);
 
@@ -249,11 +435,12 @@ mod tests {
         let mut connections = vec![std::thread::spawn(move || {
             let _ = rx.recv();
         })];
-        reap_finished(&mut connections, &metrics);
+        reap(&mut connections, &service, false);
         assert_eq!(connections.len(), 1, "live handle must be kept");
         tx.send(()).unwrap();
-        join_all(connections, &metrics);
+        reap(&mut connections, &service, true);
         assert_eq!(ServiceMetrics::read(&metrics.connection_panics), 1);
+        service.shutdown();
     }
 
     #[test]
@@ -341,6 +528,154 @@ mod tests {
         reader.read_line(&mut reply).unwrap();
         let v: serde_json::Value = serde_json::from_str(reply.trim()).unwrap();
         assert_eq!(v["status"].as_str(), Some("ok"), "got {v:?}");
+
+        service.begin_shutdown();
+        daemon.join().unwrap().unwrap();
+    }
+
+    /// A `Read` that hands out `data` in pieces of at most `step` bytes
+    /// and records when each read returned.
+    struct Pieces {
+        data: Vec<u8>,
+        step: usize,
+        reads: Vec<Instant>,
+    }
+
+    impl Read for Pieces {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data.drain(..n);
+            self.reads.push(Instant::now());
+            Ok(n)
+        }
+    }
+
+    /// Framed lines with their arrivals, and the instants of the reads.
+    type Framed = (Vec<(String, Instant)>, Vec<Instant>);
+
+    /// Every line a reader capped at `limit` yields from `data` fed
+    /// `step` bytes per read, until EOF, with its arrival; and the reads.
+    fn frame(data: &[u8], step: usize, limit: usize) -> io::Result<Framed> {
+        let mut src = Pieces {
+            data: data.to_vec(),
+            step,
+            reads: Vec::new(),
+        };
+        let mut reader = LineReader::new(limit);
+        let mut lines = Vec::new();
+        loop {
+            match reader.read_line(&mut src) {
+                Ok(Some((line, at))) => {
+                    lines.push((String::from_utf8_lossy(line).into_owned(), at))
+                }
+                Ok(None) => {}
+                Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok((lines, src.reads)),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    #[test]
+    fn line_reader_frames_lines_split_at_every_byte_boundary() {
+        let input = b"{\"op\":\"hello\"}\n\n   \n\t \nsecond line\nlast\n";
+        let expected = [
+            "{\"op\":\"hello\"}",
+            "",
+            "   ",
+            "\t ",
+            "second line",
+            "last",
+        ];
+        for step in 1..=input.len() {
+            let (lines, reads) = frame(input, step, MAX_LINE_BYTES).unwrap();
+            let texts: Vec<&str> = lines.iter().map(|(l, _)| l.as_str()).collect();
+            assert_eq!(texts, expected, "step {step}");
+            // Each line is stamped with the read that returned its
+            // newline: no earlier, and before the next read.
+            let mut end = 0;
+            for (line, at) in &lines {
+                end += line.len() + 1;
+                let read = end.div_ceil(step) - 1;
+                assert!(*at >= reads[read], "step {step}: `{line}` stamped early");
+                if let Some(next) = reads.get(read + 1) {
+                    assert!(at <= next, "step {step}: `{line}` stamped late");
+                }
+            }
+        }
+        // Several lines from one read: one read, then EOF; one arrival.
+        let (lines, reads) = frame(input, CHUNK, MAX_LINE_BYTES).unwrap();
+        assert_eq!((lines.len(), reads.len()), (expected.len(), 2));
+        assert!(lines.iter().all(|(_, at)| *at == lines[0].1));
+    }
+
+    #[test]
+    fn line_reader_caps_line_length() {
+        let limit = 40;
+        let at_cap = "x".repeat(limit);
+        let over = "y".repeat(limit + 1);
+        for step in [1, 7, CHUNK] {
+            // Exactly at the cap is a line, and the next line is framed.
+            let (lines, _) = frame(format!("{at_cap}\nok\n").as_bytes(), step, limit).unwrap();
+            assert_eq!(lines.len(), 2, "step {step}");
+            assert_eq!(lines[0].0, at_cap);
+            // A partial line at the cap waits for its newline.
+            let (lines, _) = frame(at_cap.as_bytes(), step, limit).unwrap();
+            assert!(lines.is_empty(), "step {step}");
+            // One byte over is refused, with or without its newline.
+            for input in [format!("ok\n{over}\n"), format!("ok\n{over}")] {
+                let err = frame(input.as_bytes(), step, limit).unwrap_err();
+                assert_eq!(err.kind(), ErrorKind::InvalidData, "step {step}");
+            }
+        }
+    }
+
+    /// The next reply line on `reader`, parsed.
+    fn reply(reader: &mut impl BufRead) -> serde_json::Value {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        serde_json::from_str(line.trim()).unwrap_or_else(|e| panic!("`{line}`: {e}"))
+    }
+
+    #[test]
+    fn tcp_bounds_line_length_and_connection_count() {
+        let server = TcpServer::bind("127.0.0.1:0", test_config()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let service = server.service();
+        let daemon = std::thread::spawn(move || server.run());
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream
+        };
+
+        // A line over the cap: one `error` line, then EOF.
+        let mut stream = connect();
+        stream.write_all(&vec![b' '; MAX_LINE_BYTES + 1]).unwrap();
+        let mut reader = BufReader::new(stream);
+        assert_eq!(reply(&mut reader)["status"].as_str(), Some("error"));
+        assert_eq!(reader.read_line(&mut String::new()).unwrap(), 0, "then EOF");
+
+        // One connection over the cap: one `busy` line, then EOF.
+        let mut open: Vec<TcpStream> = (0..MAX_CONNECTIONS).map(|_| connect()).collect();
+        let mut reader = BufReader::new(connect());
+        assert_eq!(reply(&mut reader)["status"].as_str(), Some("busy"));
+        assert_eq!(reader.read_line(&mut String::new()).unwrap(), 0, "then EOF");
+        assert_eq!(
+            ServiceMetrics::read(&service.metrics().connections_refused),
+            1
+        );
+
+        // The connections under the cap are still served.
+        for i in [0, MAX_CONNECTIONS - 1] {
+            let stream = &mut open[i];
+            let line = format!("{}\n", small_request(5.0, "{}"));
+            stream.write_all(line.as_bytes()).unwrap();
+            let v = reply(&mut BufReader::new(&*stream));
+            assert_eq!(v["status"].as_str(), Some("ok"), "{v:?}");
+        }
 
         service.begin_shutdown();
         daemon.join().unwrap().unwrap();

@@ -425,3 +425,41 @@ fn malformed_parent_keys_get_the_same_answer_on_both_tiers() {
     }
     shard.shutdown();
 }
+
+/// Pipelined lines on one connection are all answered, in request order:
+/// the connection's backlog is bounded by TCP flow control, not by a
+/// pending-depth shed.
+#[test]
+fn pipelined_lines_on_one_connection_are_answered_in_order() {
+    let topo = spawn_topology(2);
+    let mut client = Client::connect(topo.addr);
+    let sys_spec: SystemSpec = serde_json::from_str(SYSTEM_JSON).unwrap();
+    let requests: Vec<(usize, &str)> = (3..13)
+        .flat_map(|m| ["HEFT", "CPOP", "PEFT", "ILS-H"].map(|alg| (m, alg)))
+        .collect();
+    assert_eq!(requests.len(), 40);
+
+    let batch: String = requests
+        .iter()
+        .map(|&(m, alg)| schedule_request(m, alg, "{}") + "\n")
+        .collect();
+    client.writer.write_all(batch.as_bytes()).unwrap();
+
+    for (i, &(m, alg)) in requests.iter().enumerate() {
+        let mut raw = String::new();
+        client.reader.read_line(&mut raw).unwrap();
+        let reply: serde_json::Value = serde_json::from_str(raw.trim()).unwrap();
+        assert_eq!(reply["status"].as_str(), Some("ok"), "line {i}: {reply:?}");
+        let dag_spec: DagSpec = serde_json::from_value(dag_json(m)).unwrap();
+        let dag = dag_spec.build().unwrap();
+        let sys = sys_spec.build(&dag).unwrap();
+        let direct = algorithms::by_name(alg).unwrap().schedule(&dag, &sys);
+        assert_eq!(
+            reply["schedule"]["schedule"],
+            serde_json::to_value(&direct).unwrap(),
+            "line {i} ({alg}, m={m}) answered out of order"
+        );
+    }
+
+    topo.shutdown();
+}
