@@ -1242,6 +1242,64 @@ mod tests {
         assert!(err.0.contains("INVALID"), "{err}");
     }
 
+    /// A fork (t0 of weight 1 feeding t1 and t2 of weight 3, 4 data units
+    /// each) on two unit-speed processors over a unit network.
+    fn write_fork(dag_path: &str, sys_path: &str) {
+        std::fs::write(
+            dag_path,
+            r#"{"tasks":[{"weight":1.0},{"weight":3.0},{"weight":3.0}],
+                "edges":[{"src":0,"dst":1,"data":4.0},{"src":0,"dst":2,"data":4.0}]}"#,
+        )
+        .unwrap();
+        std::fs::write(
+            sys_path,
+            r#"{"processors":{"kind":"speeds","speeds":[1.0,1.0]},
+                "network":{"topology":"fully_connected","startup":0.0,"bandwidth":1.0}}"#,
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn schedule_naming_an_unknown_task_is_an_error() {
+        let (dag_path, sys_path) = (tmp("unknown-task-dag.json"), tmp("unknown-task-sys.json"));
+        let sched_path = tmp("unknown-task-sched.json");
+        write_fork(&dag_path, &sys_path);
+        std::fs::write(
+            &sched_path,
+            // the stale `primary`/`copies` tables claim every task is placed
+            r#"{"n_tasks":3,"timelines":[[{"task":7,"start":0.0,"finish":1.0,"duplicate":false}],[]],
+                "primary":[[0,0.0,1.0],[0,0.0,1.0],[0,0.0,1.0]],"copies":[[[0,1.0]],[[0,1.0]],[[0,1.0]]]}"#,
+        )
+        .unwrap();
+        let err = validate_cmd(&argv(&format!(
+            "--dag {dag_path} --system {sys_path} --schedule {sched_path}"
+        )))
+        .unwrap_err();
+        assert!(err.0.contains("t7"), "{err}");
+    }
+
+    #[test]
+    fn schedule_file_with_primary_and_copies_tables_still_validates() {
+        // DUP-HEFT's schedule of the fork as written before the derived
+        // `primary`/`copies` tables left the encoding (t0 duplicated on p1).
+        let (dag_path, sys_path) = (tmp("old-format-dag.json"), tmp("old-format-sys.json"));
+        let sched_path = tmp("old-format-sched.json");
+        write_fork(&dag_path, &sys_path);
+        std::fs::write(
+            &sched_path,
+            r#"{"n_tasks": 3, "timelines": [[{"task": 0, "start": 0.0, "finish": 1.0, "duplicate": false}, {"task": 1, "start": 1.0, "finish": 4.0, "duplicate": false}], [{"task": 0, "start": 0.0, "finish": 1.0, "duplicate": true}, {"task": 2, "start": 1.0, "finish": 4.0, "duplicate": false}]], "primary": [[0, 0.0, 1.0], [0, 1.0, 4.0], [1, 1.0, 4.0]], "copies": [[[0, 1.0], [1, 1.0]], [[0, 4.0]], [[1, 4.0]]]}"#,
+        )
+        .unwrap();
+        let msg = validate_cmd(&argv(&format!(
+            "--dag {dag_path} --system {sys_path} --schedule {sched_path}"
+        )))
+        .unwrap();
+        assert!(
+            msg.contains("schedule is valid: makespan 4.0000, 3 tasks on 2 processors"),
+            "{msg}"
+        );
+    }
+
     #[test]
     fn convert_round_trips_stg() {
         let stg_path = tmp("conv.stg");

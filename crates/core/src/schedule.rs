@@ -9,9 +9,12 @@
 //! halves the bytes those scans touch (no interleaved task ids or
 //! duplicate flags) and lets `partition_point` binary-search a plain
 //! `&[f64]`. [`Slot`] remains the public *view* type — `Timeline::get`
-//! and `Timeline::iter` materialize slots by value on demand — and the
-//! serialized wire format is the old array-of-slot-objects, byte for
-//! byte, via the manual serde impls below.
+//! and `Timeline::iter` materialize slots by value on demand.
+//!
+//! A schedule has one wire encoding: `{"n_tasks": n, "timelines": [...]}`,
+//! each timeline an array of slot objects. The primary and copy tables
+//! and the gap-search caches are derived data; decoding rebuilds them
+//! from the slots (see the `Deserialize` impl for [`Schedule`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -231,18 +234,6 @@ impl Serialize for Timeline {
     }
 }
 
-impl Deserialize for Timeline {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let slots: Vec<Slot> = Vec::from_value(v)?;
-        let mut tl = Timeline::default();
-        tl.reserve_exact(slots.len());
-        for s in slots {
-            tl.push(s);
-        }
-        Ok(tl)
-    }
-}
-
 /// Errors from direct schedule mutation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleError {
@@ -284,37 +275,30 @@ impl std::error::Error for ScheduleError {}
 /// the finish time of every copy (primary + duplicates) for duplication-
 /// aware data-ready-time queries.
 ///
-/// **Serde caveat:** the derived `Deserialize` restores fields verbatim
-/// without re-checking the no-overlap invariant; run
-/// [`crate::validate::validate`] on any schedule loaded from external
-/// data (the CLI does exactly that).
-#[derive(Debug, Serialize, Deserialize)]
+/// **Serde caveat:** decoding checks that the slots are well-formed, not
+/// that the schedule is feasible; run [`crate::validate::validate`] on any
+/// schedule loaded from external data (the CLI does exactly that).
+#[derive(Debug)]
 pub struct Schedule {
     n_tasks: usize,
     timelines: Vec<Timeline>,
     /// Per task: primary (proc, start, finish), if placed.
     primary: Vec<Option<(ProcId, f64, f64)>>,
-    /// Per task: every copy as (proc, finish), primary included.
+    /// Per task: every copy as (proc, finish), primary first, then
+    /// duplicates by processor.
     copies: Vec<Vec<(ProcId, f64)>>,
-    /// Per-processor gap-search acceleration structure. Derived data only —
-    /// kept off the wire (so the serialized format is unchanged) and rebuilt
-    /// lazily: a deserialized schedule simply has an empty cache and every
-    /// query falls back to the full scan.
-    #[serde(default, skip_serializing_if = "skip_cache")]
+    /// Per-processor gap-search acceleration structure, one per timeline.
+    /// Derived data: rebuilt after every timeline mutation and on decode.
     cache: Vec<TimelineCache>,
     /// Undo log of the active trial (see [`Schedule::begin_trial`]); `None`
     /// outside a trial, so mutation off the trial path stays log-free.
-    /// Ephemeral bookkeeping — always kept off the wire, like `cache`.
-    #[serde(default, skip_serializing_if = "skip_trial")]
     trial: Option<Vec<TrialOp>>,
     /// Per-processor mutation counter. Every timeline mutation (insert or
     /// trial rollback) bumps the processor's epoch, and a rebuilt
     /// [`TimelineCache`] records the epoch it was built at — the fast gap
     /// search only accepts a cache stamped with the *current* epoch, so a
     /// cache can never be mistaken for fresh just because the timeline
-    /// happens to have the same length again. Derived data, off the wire
-    /// like `cache`.
-    #[serde(default, skip_serializing_if = "skip_epoch")]
+    /// happens to have the same length again.
     epoch: Vec<u64>,
 }
 
@@ -348,16 +332,82 @@ impl Clone for Schedule {
     }
 }
 
-/// `skip_serializing_if` predicate for [`Schedule::trial`]: always skip.
-fn skip_trial(_: &Option<Vec<TrialOp>>) -> bool {
-    true
+/// Wire format: `{"n_tasks": n, "timelines": [...]}` — the slots are the
+/// whole schedule; everything else is derived from them on decode.
+impl Serialize for Schedule {
+    fn to_value(&self) -> serde::Value {
+        let mut m = serde::Map::new();
+        m.insert("n_tasks", self.n_tasks.to_value());
+        m.insert("timelines", self.timelines.to_value());
+        serde::Value::Object(m)
+    }
+}
+
+/// Rebuilds the primary and copy tables and every gap-search cache from
+/// the slots. Returns `Err`, never panics, on a structure the schedule
+/// API could not have produced: no task or no processor, a task id out of
+/// range, a non-finite or negative time or `finish < start`, slots out of
+/// start order (ties keep wire order), a second primary slot for one
+/// task, or two copies of one task on one processor. Feasibility
+/// (overlap, durations, precedence, completeness) is left to
+/// [`crate::validate::validate`]. Keys other than `n_tasks` and
+/// `timelines` — the `primary`/`copies` tables of older documents — are
+/// ignored.
+impl Deserialize for Schedule {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_object()
+            .ok_or_else(|| serde::Error::type_mismatch("object (Schedule)", v))?;
+        let field = |k: &str| m.get(k).ok_or_else(|| serde::Error::missing_field(k));
+        let n_tasks = usize::from_value(field("n_tasks")?)?;
+        let timelines = Vec::<Vec<Slot>>::from_value(field("timelines")?)?;
+        if n_tasks == 0 || timelines.is_empty() {
+            return Err(serde::Error::custom(
+                "schedule needs at least one task and one processor",
+            ));
+        }
+        let mut s = Schedule::new(n_tasks, timelines.len());
+        for (pi, slots) in timelines.into_iter().enumerate() {
+            let p = ProcId(pi as u32);
+            s.timelines[pi].reserve_exact(slots.len());
+            for slot in slots {
+                let (t, start, finish) = (slot.task, slot.start, slot.finish);
+                let bad =
+                    |why: &str| Err(serde::Error::custom(format!("slot of {t} on {p}: {why}")));
+                if t.index() >= n_tasks {
+                    return bad("task id out of range");
+                }
+                if !(start.is_finite() && finish.is_finite() && 0.0 <= start && start <= finish) {
+                    return bad("times must be finite with 0 <= start <= finish");
+                }
+                if start < s.timelines[pi].starts.last().copied().unwrap_or(0.0) {
+                    return bad("slots not sorted by start");
+                }
+                if s.finish_on(t, p).is_some() {
+                    return bad("second copy on one processor");
+                }
+                if !slot.duplicate && s.primary[t.index()].is_some() {
+                    return bad("second primary slot");
+                }
+                s.add_copy(t, p, finish, slot.duplicate);
+                if !slot.duplicate {
+                    s.primary[t.index()] = Some((p, start, finish));
+                }
+                s.timelines[pi].push(slot);
+            }
+        }
+        for (c, tl) in s.cache.iter_mut().zip(&s.timelines) {
+            c.rebuild(tl);
+        }
+        Ok(s)
+    }
 }
 
 /// One reversible mutation recorded by the trial undo log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum TrialOp {
     /// `insert_slot` placed `task` at index `pos` of `proc`'s timeline
-    /// (and pushed a `copies` entry for it).
+    /// (and added a `copies` entry for it).
     Slot {
         proc: ProcId,
         pos: usize,
@@ -365,18 +415,6 @@ enum TrialOp {
     },
     /// `insert` set the primary assignment of `task`.
     Primary { task: TaskId },
-}
-
-/// `skip_serializing_if` predicate for [`Schedule::cache`]: always skip.
-#[allow(clippy::ptr_arg)]
-fn skip_cache(_: &Vec<TimelineCache>) -> bool {
-    true
-}
-
-/// `skip_serializing_if` predicate for [`Schedule::epoch`]: always skip.
-#[allow(clippy::ptr_arg)]
-fn skip_epoch(_: &Vec<u64>) -> bool {
-    true
 }
 
 /// Derived per-timeline data that lets [`Schedule::earliest_start`] answer
@@ -392,7 +430,7 @@ fn skip_epoch(_: &Vec<u64>) -> bool {
 ///   interval the scan could ever place work into.
 /// * `scale` = maximum slot finish, used to pad `max_gap_ub` comparisons by
 ///   a margin that provably dominates all rounding error.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 struct TimelineCache {
     prefix_max: Vec<f64>,
     max_gap_ub: f64,
@@ -466,16 +504,13 @@ impl Schedule {
         }
     }
 
-    /// Bump processor `p`'s mutation epoch and return the new value.
-    /// Deserialized schedules start with an empty epoch vector; it is grown
-    /// on demand so they stay mutable (their cache vector is empty anyway,
-    /// so every query falls back to the reference scan).
-    fn bump_epoch(&mut self, p: usize) -> u64 {
-        if self.epoch.len() <= p {
-            self.epoch.resize(p + 1, 0);
-        }
+    /// Bump processor `p`'s mutation epoch, rebuild its gap-search cache
+    /// and stamp the cache with the new epoch.
+    fn refresh_cache(&mut self, p: usize) {
         self.epoch[p] += 1;
-        self.epoch[p]
+        let c = &mut self.cache[p];
+        c.rebuild(&self.timelines[p]);
+        c.stamp = self.epoch[p];
     }
 
     /// Number of tasks this schedule is sized for.
@@ -514,7 +549,8 @@ impl Schedule {
         self.primary[t.index()].map(|(p, _, _)| p)
     }
 
-    /// All copies of `t` as `(processor, finish)`, primary first.
+    /// All copies of `t` as `(processor, finish)`: the primary first, then
+    /// the duplicates in processor order.
     #[inline]
     pub fn copies(&self, t: TaskId) -> &[(ProcId, f64)] {
         &self.copies[t.index()]
@@ -609,27 +645,20 @@ impl Schedule {
             hetsched_trace::counters(|c| c.append_queries += 1);
             return ready.max(self.proc_finish(p));
         }
-        let out = match self.cache.get(p.index()) {
-            // The cache is absent after deserialization (it is never on the
-            // wire) — fall back to the reference scan. When present it must
-            // carry the stamp of the *current* mutation epoch (every
-            // timeline mutation bumps the epoch and restamps the rebuilt
-            // cache), so a stale cache whose timeline merely has the same
-            // length again is rejected here, not just by the debug assert.
-            // In reference-engine mode (conformance testing) the scan is
-            // forced.
-            Some(c)
-                if c.stamp == self.epoch.get(p.index()).copied().unwrap_or(0)
-                    && c.prefix_max.len() == tl.len()
-                    && !crate::engine::reference_engine_active() =>
-            {
-                Self::earliest_start_cached(tl, c, ready, dur)
-            }
-            _ => {
-                hetsched_trace::counters(|c| c.gap_full_scans += 1);
-                return Self::earliest_start_scan(tl, ready, dur);
-            }
-        };
+        // The cache must carry the stamp of the *current* mutation epoch
+        // (every timeline mutation bumps the epoch and restamps the rebuilt
+        // cache), so a stale cache whose timeline merely has the same
+        // length again is rejected here, not just by the debug assert. In
+        // reference-engine mode (conformance testing) the scan is forced.
+        let c = &self.cache[p.index()];
+        if c.stamp != self.epoch[p.index()]
+            || c.prefix_max.len() != tl.len()
+            || crate::engine::reference_engine_active()
+        {
+            hetsched_trace::counters(|c| c.gap_full_scans += 1);
+            return Self::earliest_start_scan(tl, ready, dur);
+        }
+        let out = Self::earliest_start_cached(tl, c, ready, dur);
         debug_assert_eq!(
             out.to_bits(),
             Self::earliest_start_scan(tl, ready, dur).to_bits(),
@@ -640,8 +669,8 @@ impl Schedule {
 
     /// Reference insertion-policy gap search: linear scan over the whole
     /// timeline. This is the semantic definition the cached variant must
-    /// reproduce bit-for-bit; it is kept both as the deserialization
-    /// fallback and as the oracle for the conformance/property tests.
+    /// reproduce bit-for-bit; it is kept as the reference-engine path and
+    /// as the oracle for the conformance/property tests.
     /// The scan touches only the two contiguous time arrays.
     pub(crate) fn earliest_start_scan(tl: &Timeline, ready: f64, dur: f64) -> f64 {
         let mut prev_finish = 0.0f64;
@@ -699,6 +728,8 @@ impl Schedule {
     /// # Errors
     /// * [`ScheduleError::InvalidTime`] for non-finite or negative times.
     /// * [`ScheduleError::AlreadyScheduled`] if `t` already has a primary.
+    /// * [`ScheduleError::BadDuplicate`] if a duplicate of `t` is on `p`
+    ///   (a task has at most one copy per processor).
     /// * [`ScheduleError::Overlap`] if the interval is occupied.
     pub fn insert(
         &mut self,
@@ -777,9 +808,10 @@ impl Schedule {
     ///
     /// On `Err` the schedule is left partially filled; the caller discards
     /// it and falls back to a from-scratch run. Errors: a task listed
-    /// twice or already placed, a task without a primary in `parent`, a
-    /// duplicate copy of a replayed task, non-finite/negative times, or an
-    /// unsorted/overlapping parent timeline.
+    /// twice or already placed, a task without a primary in `parent` or
+    /// with one beyond this schedule's processors, a duplicate copy of a
+    /// replayed task, or overlapping replayed slots. (Times are finite and
+    /// timelines sorted in every `Schedule`, built or decoded.)
     pub(crate) fn replay_prefix(&mut self, parent: &Schedule, tasks: &[TaskId]) -> Result<(), ()> {
         debug_assert!(self.trial.is_none(), "replay_prefix runs outside trials");
         debug_assert!(self.timelines.iter().all(Timeline::is_empty));
@@ -791,19 +823,13 @@ impl Schedule {
             let Some((p, start, finish)) = parent.assignment(t) else {
                 return Err(());
             };
-            if p.index() >= self.timelines.len()
-                || !start.is_finite()
-                || start < 0.0
-                || !finish.is_finite()
-                || finish < start
-            {
+            if p.index() >= self.timelines.len() {
                 return Err(());
             }
             keep[t.index()] = true;
             self.primary[t.index()] = Some((p, start, finish));
             self.copies[t.index()].push((p, finish));
         }
-        let mut placed = 0usize;
         for pi in 0..self.timelines.len() {
             if let Some(src) = parent.timelines.get(pi) {
                 // Exact per-processor capacity up front: count the kept
@@ -824,34 +850,17 @@ impl Schedule {
                         return Err(());
                     }
                     if let Some(prev) = tl.last() {
-                        // The kept subset must stay sorted by start with at
-                        // most boundary-coincidence overlap (the insertion
-                        // path's conflict formula, see `insert_slot_at`).
-                        if s.start < prev.start
-                            || (prev.start < s.finish - TIME_EPS
-                                && s.start < prev.finish - TIME_EPS)
-                        {
+                        // The kept subset may overlap only at a boundary
+                        // (the insertion path's conflict formula, see
+                        // `insert_slot_at`).
+                        if prev.start < s.finish - TIME_EPS && s.start < prev.finish - TIME_EPS {
                             return Err(());
                         }
                     }
                     tl.push(s);
-                    placed += 1;
                 }
             }
-            let ep = self.bump_epoch(pi);
-            if let Some(c) = self.cache.get_mut(pi) {
-                c.rebuild(&self.timelines[pi]);
-                c.stamp = ep;
-                debug_assert_eq!(
-                    c.stamp, self.epoch[pi],
-                    "rebuilt gap cache must carry the live mutation epoch"
-                );
-            }
-        }
-        // Catches a parent whose timeline slots disagree with its primary
-        // table (possible only for hand-built or deserialized schedules).
-        if placed != tasks.len() {
-            return Err(());
+            self.refresh_cache(pi);
         }
         hetsched_trace::counters(|c| c.timeline_inserts += tasks.len() as u64);
         Ok(())
@@ -864,6 +873,9 @@ impl Schedule {
         start: f64,
         finish: f64,
     ) -> Result<(), ScheduleError> {
+        if self.finish_on(t, p).is_some() {
+            return Err(ScheduleError::BadDuplicate(t));
+        }
         self.insert_slot_at(t, p, start, finish, false)?;
         self.primary[t.index()] = Some((p, start, finish));
         if let Some(log) = &mut self.trial {
@@ -951,14 +963,9 @@ impl Schedule {
         // invalidates every prefix maximum (and gap) at or after `pos`, and
         // the `insert` above is already O(len), so a full O(len) rebuild
         // keeps the same asymptotics with straight-line code. The rebuilt
-        // cache is stamped with the new mutation epoch; schedules without a
-        // cache (deserialized) stay cacheless — queries scan.
-        let ep = self.bump_epoch(p.index());
-        if let Some(c) = self.cache.get_mut(p.index()) {
-            c.rebuild(&self.timelines[p.index()]);
-            c.stamp = ep;
-        }
-        self.copies[t.index()].push((p, finish));
+        // cache is stamped with the new mutation epoch.
+        self.refresh_cache(p.index());
+        self.add_copy(t, p, finish, duplicate);
         if let Some(log) = &mut self.trial {
             log.push(TrialOp::Slot {
                 proc: p,
@@ -968,6 +975,21 @@ impl Schedule {
         }
         hetsched_trace::counters(|c| c.timeline_inserts += 1);
         Ok(())
+    }
+
+    /// Record a copy of `t` on `p` in the one canonical order — primary
+    /// first, then duplicates by processor — so the order is a function of
+    /// the slots alone and a decoded schedule reproduces it. Call before
+    /// setting a new primary.
+    fn add_copy(&mut self, t: TaskId, p: ProcId, finish: f64, duplicate: bool) {
+        let copies = &mut self.copies[t.index()];
+        let at = if duplicate {
+            let skip = usize::from(self.primary[t.index()].is_some());
+            skip + copies[skip..].partition_point(|&(q, _)| q < p)
+        } else {
+            0
+        };
+        copies.insert(at, (p, finish));
     }
 
     /// Start recording an undo log so subsequent insertions can be undone
@@ -995,8 +1017,7 @@ impl Schedule {
     pub fn rollback_trial(&mut self) {
         let log = self.trial.take().expect("no active trial to roll back");
         // Reverse order makes each recorded insertion index valid at the
-        // moment it is undone, and makes `copies.pop()` remove exactly the
-        // entry its op pushed.
+        // moment it is undone.
         for op in log.into_iter().rev() {
             match op {
                 TrialOp::Primary { task } => {
@@ -1005,18 +1026,14 @@ impl Schedule {
                 TrialOp::Slot { proc, pos, task } => {
                     let removed = self.timelines[proc.index()].remove(pos);
                     debug_assert_eq!(removed.task, task);
-                    self.copies[task.index()].pop();
+                    // at most one copy per processor: this is the op's own
+                    self.copies[task.index()].retain(|&(q, _)| q != proc);
                     // A rollback is a timeline mutation like any other: bump
                     // the epoch and restamp the rebuilt cache, so a cache
                     // from before the trial can never be accepted against
                     // the restored (same-length, different-content)
-                    // timeline. Deserialized (cacheless) schedules stay
-                    // cacheless.
-                    let ep = self.bump_epoch(proc.index());
-                    if let Some(c) = self.cache.get_mut(proc.index()) {
-                        c.rebuild(&self.timelines[proc.index()]);
-                        c.stamp = ep;
-                    }
+                    // timeline.
+                    self.refresh_cache(proc.index());
                 }
             }
         }
@@ -1217,26 +1234,151 @@ mod tests {
     #[test]
     fn timeline_wire_format_is_the_slot_array() {
         // The SoA layout must serialize exactly as the old Vec<Slot> did:
-        // an array of {task, start, finish, duplicate} objects.
-        let mut s = Schedule::new(2, 1);
+        // an array of {task, start, finish, duplicate} objects, and the
+        // schedule carries nothing but its size and its timelines.
+        let mut s = Schedule::new(2, 2);
         s.insert(TaskId(0), ProcId(0), 0.0, 2.0).unwrap();
         s.insert_duplicate(TaskId(1), ProcId(0), 3.0, 1.5).unwrap();
-        s.insert(TaskId(1), ProcId(0), 6.0, 1.0).unwrap();
+        s.insert(TaskId(1), ProcId(1), 6.0, 1.0).unwrap();
         let json = serde_json::to_string(&s).unwrap();
         assert!(
-            json.contains(r#""timelines":[[{"task":0,"start":0.0,"finish":2.0,"duplicate":false}"#),
+            json.starts_with(
+                r#"{"n_tasks":2,"timelines":[[{"task":0,"start":0.0,"finish":2.0,"duplicate":false}"#
+            ),
             "{json}"
         );
-        // round trip restores every slot (and the ephemeral cache/epoch
-        // stay off the wire)
-        assert!(!json.contains("prefix_max"), "{json}");
-        assert!(!json.contains("epoch"), "{json}");
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let keys: Vec<&String> = v.as_object().unwrap().keys().collect();
+        assert_eq!(keys, ["n_tasks", "timelines"], "{json}");
+        assert_decodes_to_the_same_schedule(&s);
+    }
+
+    /// Encode `s`, decode it, and require the re-encoded bytes and every
+    /// derived query (primary, copies, per-processor finishes, makespan,
+    /// duplicate count, gap search) to match the original.
+    fn assert_decodes_to_the_same_schedule(s: &Schedule) {
+        let json = serde_json::to_string(s).unwrap();
         let back: Schedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.slots(ProcId(0)).len(), 3);
-        for k in 0..3 {
-            assert_eq!(back.slots(ProcId(0)).get(k), s.slots(ProcId(0)).get(k));
-        }
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(
+            (back.num_tasks(), back.num_procs()),
+            (s.num_tasks(), s.num_procs())
+        );
+        for t in (0..s.num_tasks() as u32).map(TaskId) {
+            assert_eq!(back.assignment(t), s.assignment(t), "{t}");
+            assert_eq!(back.copies(t), s.copies(t), "{t}");
+            for p in (0..s.num_procs() as u32).map(ProcId) {
+                assert_eq!(back.finish_on(t, p), s.finish_on(t, p), "{t} on {p}");
+            }
+        }
+        assert_eq!(back.makespan().to_bits(), s.makespan().to_bits());
+        assert_eq!(back.num_duplicates(), s.num_duplicates());
+        // the decoded schedule answers gap searches from a fresh cache
+        for (pi, (c, tl)) in back.cache.iter().zip(&back.timelines).enumerate() {
+            assert_eq!(c.stamp, back.epoch[pi]);
+            assert_eq!(c.prefix_max.len(), tl.len());
+            let p = ProcId(pi as u32);
+            for (ready, dur) in [(0.0, 0.5), (1.0, 3.0), (0.0, 1e9)] {
+                assert_eq!(
+                    back.earliest_start(p, ready, dur, true).to_bits(),
+                    s.earliest_start(p, ready, dur, true).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_round_trips_duplicates_and_zero_length_ties() {
+        use crate::Scheduler as _;
+        use rand::SeedableRng as _;
+        // A DUP-HEFT schedule on a communication-heavy instance, so the
+        // duplicate copies (and their order in `copies`) are exercised.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let dag = hetsched_workloads::random_dag(
+            &hetsched_workloads::RandomDagParams::new(40, 1.0, 5.0),
+            &mut rng,
+        );
+        let sys = hetsched_platform::System::heterogeneous_random(
+            &dag,
+            4,
+            &hetsched_platform::EtcParams::range_based(1.0),
+            &mut rng,
+        );
+        let dup = crate::algorithms::DupHeft::default().schedule(&dag, &sys);
+        assert!(
+            dup.num_duplicates() > 0,
+            "instance must trigger duplication"
+        );
+        assert_decodes_to_the_same_schedule(&dup);
+
+        // Zero-length slots sharing a start instant: the decoder keeps them
+        // in wire order, so re-encoding reproduces the bytes.
+        let mut ties = Schedule::new(4, 2);
+        ties.insert(TaskId(0), ProcId(0), 1.0, 0.0).unwrap();
+        ties.insert(TaskId(1), ProcId(0), 1.0, 0.0).unwrap();
+        ties.insert(TaskId(2), ProcId(0), 1.0, 2.0).unwrap();
+        ties.insert_duplicate(TaskId(0), ProcId(1), 1.0, 0.0)
+            .unwrap();
+        ties.insert(TaskId(3), ProcId(1), 1.0, 0.0).unwrap();
+        let order: Vec<TaskId> = ties.slots(ProcId(0)).tasks().to_vec();
+        assert_eq!(order, [TaskId(2), TaskId(1), TaskId(0)]);
+        assert_decodes_to_the_same_schedule(&ties);
+    }
+
+    #[test]
+    fn malformed_schedules_are_rejected_without_panicking() {
+        // (what, n_tasks, timelines as `[task, start, finish, duplicate]` rows)
+        let cases = [
+            ("no tasks", 0, "[[]]"),
+            ("no processors", 1, "[]"),
+            ("task out of range", 2, "[[[7,0,1,false]]]"),
+            ("negative task id", 2, "[[[-1,0,1,false]]]"),
+            ("NaN start", 1, "[[[0,null,1,false]]]"),
+            ("NaN finish", 1, "[[[0,0,null,false]]]"),
+            ("negative start", 1, "[[[0,-1,1,false]]]"),
+            ("finish < start", 1, "[[[0,2,1,false]]]"),
+            ("unsorted", 2, "[[[1,2,3,false],[0,0,1,false]]]"),
+            ("two primaries", 1, "[[[0,0,1,false]],[[0,1,2,false]]]"),
+            ("primary+dup on p0", 1, "[[[0,0,1,false],[0,2,3,true]]]"),
+            (
+                "two dups on p1",
+                1,
+                "[[[0,0,1,false]],[[0,0,1,true],[0,2,3,true]]]",
+            ),
+            ("well-formed", 1, "[[[0,0,1,false]]]"),
+        ];
+        let keys = ["task", "start", "finish", "duplicate"].map(String::from);
+        for (what, n_tasks, rows) in cases {
+            let rows: Vec<Vec<Vec<serde_json::Value>>> = serde_json::from_str(rows).unwrap();
+            let slots = |tl: Vec<Vec<serde_json::Value>>| -> Vec<serde_json::Value> {
+                let slot =
+                    |row| serde_json::Value::Object(keys.clone().into_iter().zip(row).collect());
+                tl.into_iter().map(slot).collect()
+            };
+            let tls: Vec<Vec<serde_json::Value>> = rows.into_iter().map(slots).collect();
+            let json = serde_json::to_string(&tls).unwrap();
+            let json = format!(r#"{{"n_tasks":{n_tasks},"timelines":{json}}}"#);
+            let got = serde_json::from_str::<Schedule>(&json);
+            assert_eq!(got.is_ok(), what == "well-formed", "{what}: {json}");
+        }
+        for json in [
+            r#"{"n_tasks":1}"#,
+            "[1,2]",
+            r#"{"n_tasks":-1,"timelines":[[]]}"#,
+        ] {
+            assert!(serde_json::from_str::<Schedule>(json).is_err(), "{json}");
+        }
+    }
+
+    #[test]
+    fn a_primary_cannot_join_its_own_duplicate_on_one_processor() {
+        let mut s = Schedule::new(2, 2);
+        s.insert_duplicate(TaskId(0), ProcId(0), 0.0, 1.0).unwrap();
+        assert_eq!(
+            s.insert(TaskId(0), ProcId(0), 2.0, 1.0).unwrap_err(),
+            ScheduleError::BadDuplicate(TaskId(0))
+        );
+        s.insert(TaskId(0), ProcId(1), 0.0, 1.0).unwrap();
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! The [`Dag`] type: an immutable, validated task graph in CSR form.
 
-use serde::{Deserialize, Serialize};
-
 use crate::TaskId;
 
 /// A directed edge of a task graph.
 ///
 /// `data` is the volume of data task `src` sends to task `dst` (abstract
 /// units; the platform model divides it by link bandwidth to get seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Producing task.
     pub src: TaskId,
@@ -24,16 +22,14 @@ pub struct Edge {
 /// acyclic, has at least one task, only finite non-negative weights, and no
 /// duplicate edges — the read API below can therefore never fail.
 ///
-/// **Serde caveat:** the derived `Deserialize` restores fields verbatim and
-/// does *not* re-validate these invariants; deserialize only data this
-/// library serialized. For untrusted input use [`crate::io::DagSpec`],
-/// which funnels through the validating builder.
+/// The only serialized form is [`crate::io::DagSpec`], which decodes
+/// through the same validating builder.
 ///
 /// Storage is CSR in both directions: `edges` is sorted by `(src, dst)` and
 /// `succ_off` indexes it per source task; `pred_edges` lists edge indices
 /// grouped by destination task under `pred_off`. Successor and predecessor
 /// scans are contiguous.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dag {
     pub(crate) weights: Vec<f64>,
     pub(crate) edges: Vec<Edge>,
@@ -318,13 +314,6 @@ mod tests {
         assert!(g.is_entry(TaskId(0)) && g.is_exit(TaskId(0)));
         assert_eq!(g.ccr(), 0.0);
         assert_eq!(g.mean_edge_data(), 0.0);
-    }
-
-    #[test]
-    fn dag_is_serializable() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<crate::Dag>();
-        assert_serde::<crate::Edge>();
     }
 
     #[test]

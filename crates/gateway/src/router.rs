@@ -447,13 +447,17 @@ impl Router {
                 options: options.clone(),
             };
             let reply = self.lead(&sub_req, home, deadline_at, scratch);
+            if status_of_line(&reply) != Some(RequestStatus::Success) {
+                return reply; // busy / shed / timeout / error: the batch's answer
+            }
             let Ok(Response::Ok {
                 many: Some(body), ..
             }) = serde_json::from_str::<Response>(&reply)
             else {
-                // busy / shed / timeout / error — or an `ok` without a
-                // batch payload, which a conforming shard never sends.
-                return reply;
+                // An `ok` that is not a decodable batch must not stand in
+                // for the whole batch's reply.
+                bump(&self.metrics.errors);
+                return Response::error("shard sent an undecodable batch reply").to_line();
             };
             if body.entries.len() != member_idx.len() {
                 bump(&self.metrics.errors);

@@ -89,7 +89,7 @@ impl EtcParams {
 /// Invariants (enforced by every constructor): at least one task and one
 /// processor, every entry finite and strictly positive unless the task's
 /// nominal weight was zero (virtual entry/exit tasks keep zero rows).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EtcMatrix {
     n_tasks: usize,
     n_procs: usize,

@@ -78,7 +78,7 @@ impl Topology {
 /// bandwidth seconds-per-unit); diagonals are zero. Matrices are not
 /// required to be symmetric, though every constructor here produces
 /// symmetric networks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     n: usize,
     startup: Vec<f64>,

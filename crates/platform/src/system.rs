@@ -2,7 +2,6 @@
 //! interconnect.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use hetsched_dag::{Dag, TaskId};
 
@@ -16,7 +15,7 @@ use crate::ProcId;
 /// This is the single object every scheduler in `hetsched-core` consumes;
 /// homogeneous systems are just the special case of a flat ETC matrix and a
 /// uniform network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct System {
     etc: EtcMatrix,
     net: Network,

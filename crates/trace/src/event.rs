@@ -109,7 +109,7 @@ pub struct Counters {
     /// Insertion queries answered by the cached prefix-skip search.
     pub gap_cached_searches: u64,
     /// Insertion queries that fell back to the full reference scan
-    /// (cacheless schedule or reference-engine mode).
+    /// (reference-engine mode).
     pub gap_full_scans: u64,
     /// Append-policy (non-insertion) queries.
     pub append_queries: u64,

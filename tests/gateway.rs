@@ -343,6 +343,62 @@ fn schedule_many_fans_out_by_home_shard_and_keeps_order() {
     topo.shutdown();
 }
 
+/// A `schedule_many` batch homed on both shards that includes a zero-work
+/// instance — its `slr` and `speedup` are 0/0 = NaN, written as `null` —
+/// still comes back whole: every entry, in request order, each schedule
+/// equal to the direct library call.
+#[test]
+fn schedule_many_keeps_every_entry_when_a_reply_float_is_null() {
+    const ZERO_WORK_DAG: &str = r#"{"tasks":[{"weight":0.0},{"weight":0.0},{"weight":0.0}],
+        "edges":[{"src":0,"dst":1,"data":0.0},{"src":0,"dst":2,"data":0.0}]}"#;
+    let topo = spawn_topology(2);
+    let mut client = Client::connect(topo.addr);
+
+    let mut dags: Vec<String> = [4usize, 5, 6, 7, 8, 9]
+        .iter()
+        .map(|&m| serde_json::to_string(&dag_json(m)).unwrap())
+        .collect();
+    dags.insert(2, ZERO_WORK_DAG.replace('\n', ""));
+    let instances: Vec<String> = dags
+        .iter()
+        .map(|d| {
+            format!(
+                "{{\"dag\":{d},\"system\":{}}}",
+                SYSTEM_JSON.replace('\n', "")
+            )
+        })
+        .collect();
+    let line = format!(
+        "{{\"op\":\"schedule_many\",\"instances\":[{}],\"algorithm\":\"HEFT\"}}",
+        instances.join(","),
+    );
+
+    let reply = client.roundtrip(&line);
+    assert_eq!(reply["status"].as_str(), Some("ok"), "{reply:?}");
+    let entries = reply["many"]["entries"].as_array().unwrap();
+    assert_eq!(entries.len(), dags.len(), "{reply:?}");
+    let sys_spec: SystemSpec = serde_json::from_str(SYSTEM_JSON).unwrap();
+    for (i, (entry, d)) in entries.iter().zip(&dags).enumerate() {
+        let dag = serde_json::from_str::<DagSpec>(d).unwrap().build().unwrap();
+        let sys = sys_spec.build(&dag).unwrap();
+        let direct = algorithms::by_name("HEFT").unwrap().schedule(&dag, &sys);
+        assert_eq!(
+            entry["schedule"],
+            serde_json::to_value(&direct).unwrap(),
+            "batch entry {i} differs from direct library call"
+        );
+    }
+    assert!(entries[2]["slr"].is_null(), "{:?}", entries[2]);
+
+    // the batch really was split: both shards computed members
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    for shard in stats["shards"].as_array().unwrap() {
+        assert!(shard["computed"].as_u64().unwrap_or(0) > 0, "{stats:?}");
+    }
+
+    topo.shutdown();
+}
+
 /// Kill one shard mid-traffic: every subsequent request gets a structured
 /// reply within its deadline (reroute or shed — never a hang), and tail
 /// traffic still succeeds.

@@ -1,7 +1,7 @@
 //! Mutation testing of the validator: take a known-valid schedule,
-//! corrupt it through the serde escape hatch (deserialization bypasses
-//! the `Schedule` API's insertion checks), and require `validate` to
-//! reject every mutation class. This guards the guard.
+//! corrupt the slots of its wire form (decoding checks only that the
+//! slots are well-formed, not that the schedule is feasible), and require
+//! `validate` to reject every mutation class. This guards the guard.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,8 +75,8 @@ fn pulling_a_task_before_its_data_is_caught() {
         })
         .expect("graph has non-entry tasks");
     let bad = mutate_json(&sched, |v| {
-        // shift every copy of `victim` to start at 0 (keeping duration) in
-        // timelines and fix the primary record accordingly
+        // shift every copy of `victim` to start at 0 (keeping duration);
+        // the decoder derives the primary record from the moved slot
         for tl in v["timelines"].as_array_mut().unwrap() {
             for slot in tl.as_array_mut().unwrap() {
                 if slot["task"] == victim.0 {
@@ -94,10 +94,6 @@ fn pulling_a_task_before_its_data_is_caught() {
                     .total_cmp(&b["start"].as_f64().unwrap())
             });
         }
-        let prim = &mut v["primary"][victim.index()];
-        let dur = prim[2].as_f64().unwrap() - prim[1].as_f64().unwrap();
-        prim[1] = Value::from(0.0);
-        prim[2] = Value::from(dur);
     });
     // either the move overlaps something or it violates precedence —
     // both must be rejected
@@ -108,9 +104,11 @@ fn pulling_a_task_before_its_data_is_caught() {
 fn dropping_a_task_is_caught() {
     let (dag, sys, sched) = instance(3);
     let bad = mutate_json(&sched, |v| {
-        // erase the primary record of task 0 (leaving its slot in place is
-        // irrelevant: completeness is checked off the primary table)
-        v["primary"][0] = Value::Null;
+        // erase every slot of task 0: the decoded schedule then has no
+        // primary record for it
+        for tl in v["timelines"].as_array_mut().unwrap() {
+            tl.as_array_mut().unwrap().retain(|slot| slot["task"] != 0);
+        }
     });
     assert!(matches!(
         validate(&dag, &sys, &bad),
